@@ -9,8 +9,10 @@ from .errors import (
     ConfigError,
     DegenerateChannelError,
     IllConditionedWeightError,
+    NumericalError,
     ObjectiveDomainError,
     UnstableParametersError,
+    WsrbeamError,
 )
 from .model import (
     RNG_ALGORITHM,

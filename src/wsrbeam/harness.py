@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, WsrbeamError
 from .model import (
     RNG_ALGORITHM,
     Stage,
@@ -32,7 +32,7 @@ from .model import (
     generate_channels,
     init_precoders,
 )
-from .objective import compute_bounds, gradient_common_factor, gradient_v, wmmse_objective
+from .objective import compute_bounds, gradient_v, wmmse_objective
 from .solvers import (
     GAMMA_SAFE,
     Algorithm,
@@ -274,7 +274,7 @@ def _solve_one(args):
         result = solve(channels, config, options)
         wall = time.perf_counter() - start
         return index, result, wall, None
-    except Exception as exc:  # realization failures are recorded, not fatal
+    except (WsrbeamError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
         return index, None, 0.0, f"{type(exc).__name__}: {exc}"
 
 
@@ -412,11 +412,9 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
         return wmmse_objective(receivers, wmats, v, channels, weights, sigma2)
 
     fd = finite_diff_gradient(objective, precoders)
-    common = gradient_common_factor(channels, receivers, wmats, weights)
     worst = 0.0
     for k in range(config.K):
-        analytic = gradient_v(receivers, wmats, precoders.precoders[k], channels, weights, k,
-                              common=common)
+        analytic = gradient_v(receivers, wmats, precoders.precoders[k], channels, weights, k)
         scale = max(float(np.linalg.norm(analytic)), 1e-12)
         worst = max(worst, float(np.linalg.norm(analytic - fd[k])) / scale)
     tol = 1e-6

@@ -1,5 +1,6 @@
-"""Rates, MSE matrices, the weighted sum-MSE objective, its precoder
-gradient, and the spectral bounds that control safe step sizes.
+"""Rates, MSE matrices, the weighted sum-MSE objective, the factored form of
+the precoder subproblem and its gradient, and the spectral bounds that
+control safe step sizes.
 
 Conventions: every optimization-internal quantity (the objective ``f``, the
 rates used in stopping tests) is in natural log; reported sum rates are in
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, ObjectiveDomainError
 from .linalg import hermitianize, lndet_hpd
@@ -35,6 +38,18 @@ def _receiver_stack(receivers) -> np.ndarray:
 
 def _weight_stack(weights) -> np.ndarray:
     return weights.weight_matrices if isinstance(weights, WeightMatrixSet) else np.asarray(weights)
+
+
+def flatten_users(stack: np.ndarray) -> np.ndarray:
+    """(K, m, d) stack of per-user blocks -> (m, K*d), user k in columns k*d..k*d+d-1."""
+    k, m, d = stack.shape
+    return np.ascontiguousarray(stack.transpose(1, 0, 2).reshape(m, k * d))
+
+
+def split_users(flat: np.ndarray, k: int, d: int) -> np.ndarray:
+    """Inverse of :func:`flatten_users`."""
+    m = flat.shape[0]
+    return np.ascontiguousarray(flat.reshape(m, k, d).transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -169,27 +184,53 @@ def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, no
     return total
 
 
-def weighted_gram(channels, receivers, weight_matrices, weights) -> np.ndarray:
-    """System matrix sum_m alpha_m H_m^H U_m W_m U_m^H H_m (M x M, PSD).
+class PrecoderFactor(NamedTuple):
+    """The precoder subproblem in factored form.
 
-    Accumulated in fixed user order; shared by the exact precoder update and
-    (times two) by every user's gradient.
+    f     F = [H_1^H U_1 ... H_K^H U_K]   (M x Kd)
+    dmat  D = blockdiag(alpha_k W_k)      (Kd x Kd, Hermitian positive definite)
+
+    The subproblem's system matrix is A = F D F^H and its targets are
+    [B_1 ... B_K] = F D, so neither needs an M x M matrix.
     """
+
+    f: np.ndarray
+    dmat: np.ndarray
+
+    def gradient(self, v: np.ndarray, select: np.ndarray) -> np.ndarray:
+        """2 F D (F^H V - S) = 2 A V - 2 B S, in O(M Kd c) for c columns.
+
+        ``v`` (M x c) holds precoder columns and ``select`` (Kd x c) the
+        matching columns of the Kd x Kd identity: the flattened precoders of
+        all users with the identity give every user's gradient at once.
+        """
+        f, dmat = self
+        return 2.0 * (f @ (dmat @ (f.conj().T @ v - select)))
+
+
+def precoder_factor(channels, receivers, weight_matrices, weights) -> PrecoderFactor:
+    """F and D of the precoder subproblem at the given receivers and weights."""
     h = _channel_stack(channels)
     u = _receiver_stack(receivers)
     w = _weight_stack(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
-    m = h.shape[2]
-    total = np.zeros((m, m), dtype=np.complex128)
-    for k in range(h.shape[0]):
-        hu = h[k].conj().T @ u[k]  # (M, d)
-        total += float(alpha[k]) * (hu @ w[k] @ hu.conj().T)
-    return hermitianize(total)
+    hu = np.conj(np.swapaxes(h, 1, 2)) @ u  # (K, M, d): H_k^H U_k
+    return PrecoderFactor(flatten_users(hu), scipy.linalg.block_diag(*(alpha[:, None, None] * w)))
+
+
+def weighted_gram(channels, receivers, weight_matrices, weights) -> np.ndarray:
+    """System matrix A = F D F^H = sum_m alpha_m H_m^H U_m W_m U_m^H H_m
+    (M x M, PSD).
+
+    The solvers never form it: they work with :func:`precoder_factor`.
+    """
+    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
+    return hermitianize(f @ dmat @ f.conj().T)
 
 
 def gradient_common_factor(channels, receivers, weight_matrices, weights) -> np.ndarray:
-    """The positive semidefinite factor 2 sum_m alpha_m H_m^H U_m W_m U_m^H H_m,
-    computed once per iteration and shared across users."""
+    """The positive semidefinite M x M matrix 2 sum_m alpha_m H_m^H U_m W_m U_m^H H_m,
+    whose spectral norm the smoothness bound l_v controls."""
     return 2.0 * weighted_gram(channels, receivers, weight_matrices, weights)
 
 
@@ -201,16 +242,15 @@ def gradient_v(receivers, weight_matrices, precoder_k: np.ndarray, channels, wei
            - 2 alpha_k H_k^H U_k W_k
 
     where the complex gradient is the real gradient over the stacked real and
-    imaginary coordinates.  Pass ``common`` (from
-    :func:`gradient_common_factor`) to share the first factor across users.
+    imaginary coordinates.  It is evaluated in the factored form of
+    :meth:`PrecoderFactor.gradient`, which is cheaper than any M x M product,
+    so ``common`` (from :func:`gradient_common_factor`) is accepted for
+    compatibility and not used.
     """
-    h = _channel_stack(channels)
-    u = _receiver_stack(receivers)
-    w = _weight_stack(weight_matrices)
-    alpha = np.asarray(weights, dtype=np.float64)
-    if common is None:
-        common = gradient_common_factor(channels, receivers, weight_matrices, weights)
-    return common @ precoder_k - 2.0 * float(alpha[k]) * (h[k].conj().T @ u[k] @ w[k])
+    factor = precoder_factor(channels, receivers, weight_matrices, weights)
+    d = _receiver_stack(receivers).shape[2]
+    select = np.eye(factor.dmat.shape[0], dtype=np.complex128)[:, k * d:(k + 1) * d]
+    return factor.gradient(precoder_k, select)
 
 
 def compute_bounds(channels, weights, p_max: float, noise_power: float) -> BoundsReport:

@@ -1,4 +1,4 @@
-"""Block updates, sum-power projection, dual bisection, and the three
+"""Block updates, sum-power projection, the exact dual solve, and the three
 iterative precoder-design drivers.
 
 All three drivers share one loop skeleton per iteration:
@@ -8,9 +8,19 @@ All three drivers share one loop skeleton per iteration:
   3. weight-matrix update -- pinned to identity during the unweighted
      warm-start stage, standard update once the stage latch has fired,
   4. precoder update -- either the exact minimizer of the precoder
-     subproblem (dual bisection over the sum-power constraint) or a single
-     projected gradient step,
+     subproblem (one eigendecomposition and a Newton solve for the dual
+     variable of the sum-power constraint) or a single projected gradient
+     step,
   5. record the weighted sum rate of the new feasible iterate.
+
+No M x M matrix is formed in the iteration loop.  Both precoder updates work
+with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
+the exact update solves its subproblem in the column space of F, of
+dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
+Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
+update and O(M (Kd)^2) for the gradient step; the receiver update and the
+objective and rate diagnostics cost O(K^2 N M d).  For Kd <= M the cost of an
+iteration grows linearly in M.
 
 Stage switching and termination are driven by relative changes of the
 weighted sum rate over *completed* iterates: the switch test inside
@@ -29,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IllConditionedWeightError, UnstableParametersError
+from .errors import ConfigError, IllConditionedWeightError, NumericalError, UnstableParametersError
 from .linalg import hermitianize, solve_hpd
 from .model import (
     ChannelSet,
@@ -40,10 +50,12 @@ from .model import (
     WeightMatrixSet,
     init_precoders,
 )
-from .objective import (
+from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py patches it here
     BoundsReport,
     compute_bounds,
-    gradient_common_factor,
+    flatten_users,
+    precoder_factor,
+    split_users,
     weighted_gram,
     weighted_sum_rate,
     wmmse_objective,
@@ -70,6 +82,9 @@ STEP_DEFAULTS_BY_SNR: dict[float, tuple[float, float]] = {
 
 _COND_LIMIT = 1e12
 
+#: Relative margin below p_max that the exact dual solve aims the power at.
+_POWER_MARGIN = 1e-13
+
 
 class Algorithm(Enum):
     WMMSE = "wmmse"
@@ -93,6 +108,11 @@ class SolverOptions:
     provably-descending step from the bounds report), or None (use the
     SNR-keyed default table).  ``omega`` may be a number in [0, 1) or None
     (default table).  Both are only consulted by the first-order driver.
+
+    ``bisect_max`` caps the Newton steps of the exact dual solve per
+    precoder update (it converges in a handful).  ``bisect_tol`` bounds
+    nothing: the dual variable is found to machine precision.  Both are
+    still validated and recorded in ``summary.json``, because specs name them.
     """
 
     algorithm: Algorithm = Algorithm.WMMSE
@@ -210,18 +230,20 @@ def resolve_step_parameters(options: SolverOptions, snr_db: float,
 def update_receivers(channels, precoders, noise_power: float) -> ReceiverSet:
     """MMSE receive filters: U_k = (sum_j H_k V_j V_j^H H_k^H + sigma^2 I)^{-1} H_k V_k.
 
-    The system matrix is strictly positive definite for sigma^2 > 0, so the
-    Cholesky solve is always well posed.
+    The system matrix is formed from the N x Kd products H_k [V_1 ... V_K],
+    never from the M x M covariance sum_j V_j V_j^H.  It is strictly positive
+    definite for sigma^2 > 0, so the Cholesky solve is always well posed.
     """
     h = _channel_stack(channels)
     v = _precoder_stack(precoders)
     K, n, _ = h.shape
-    q = np.tensordot(v, v.conj(), axes=([0, 2], [0, 2]))  # sum_j V_j V_j^H
+    d = v.shape[2]
+    hv = h @ flatten_users(v)  # (K, N, Kd): H_k V_j for every j
     eye = noise_power * np.eye(n, dtype=np.complex128)
-    out = np.empty((K, n, v.shape[2]), dtype=np.complex128)
+    out = np.empty((K, n, d), dtype=np.complex128)
     for k in range(K):
-        g = hermitianize(h[k] @ q @ h[k].conj().T) + eye
-        out[k] = solve_hpd(g, h[k] @ v[k])
+        g = hermitianize(hv[k] @ hv[k].conj().T) + eye
+        out[k] = solve_hpd(g, hv[k][:, k * d:(k + 1) * d])
     return ReceiverSet(out)
 
 
@@ -263,78 +285,77 @@ def project_sum_power(precoders: PrecoderSet, p_max: float) -> PrecoderSet:
     return PrecoderSet(precoders.precoders * math.sqrt(p_max / power))
 
 
-def _stack_targets(targets: np.ndarray) -> np.ndarray:
-    k, m, d = targets.shape
-    return np.ascontiguousarray(targets.transpose(1, 0, 2).reshape(m, k * d))
-
-
-def _unstack_targets(flat: np.ndarray, k: int, d: int) -> np.ndarray:
-    m = flat.shape[0]
-    return np.ascontiguousarray(flat.reshape(m, k, d).transpose(1, 0, 2))
-
-
 def bisect_dual(gram: np.ndarray, targets, p_max: float, tol: float = 1e-4,
                 max_iter: int = 100) -> BisectionResult:
-    """Solve V_k = (A + lam I)^{-1} B_k with the single dual variable of the
-    sum-power constraint found by bisection.
+    """Solve V_k = (A + lam I)^{-1} B_k exactly, with lam >= 0 the dual
+    variable of the sum-power constraint.
 
-    If the lam=0 solution exists and is feasible it is returned directly.
-    Otherwise lam is bisected inside [0, sqrt(sum_k ||B_k||_F^2 / p_max)]:
-    since ||V_k(lam)||_F <= ||B_k||_F / lam for PSD A, the upper endpoint is
-    always on the feasible side, so the bracket is valid.  Bisection stops
-    once the feasible-side power is inside [p_max (1 - 1e-3), p_max] and the
-    bracket is narrower than ``tol``.  When A is singular and the optimum is
-    interior (the power band is unreachable), the minimum-norm least-squares
-    solution is the lam=0 answer.
+    One eigendecomposition A = E diag(s) E^H gives the power as
+    P(lam) = sum_i c_i / (s_i + lam)^2, with c_i the squared norm of row i of
+    E^H [B_1 ... B_K].  Eigenvalues at or below m * eps * s_max count as zero
+    and the target components along them are dropped, as ``lstsq``'s rcond
+    does, so the lam = 0 answer is the minimum-norm one.  (For the precoder
+    subproblem B = F D lies in the range of A = F D F^H, so the dropped
+    components are roundoff.)  If that answer is feasible it is returned.
+    Otherwise lam solves P(lam) = p_max (1 - 1e-13) by Newton's method on
+    1 / sqrt(P), which is concave in lam: from the infeasible side the steps
+    increase lam monotonically to the root, and a step that leaves the bracket
+    [lo, hi], first [0, ||B||_F / sqrt(p_max)], is replaced by its midpoint.
+    The 1e-13 margin keeps rounding in the final products from pushing the
+    power past p_max, so an active constraint ends with the power in
+    [p_max (1 - 1e-12), p_max].
+
+    The solve stops once the power is within 16 eps of its target or a step
+    no longer moves lam, that is at machine precision.  ``max_iter`` caps the Newton steps; a solve that reaches it returns the
+    feasible end of the bracket with ``converged=False``.  ``tol`` bounds
+    nothing any more and is accepted so existing callers keep working.
     """
     gram = np.asarray(gram, dtype=np.complex128)
     b = np.asarray(targets, dtype=np.complex128)
     K, m, d = b.shape
-    bstack = _stack_targets(b)
-    eye = np.eye(m, dtype=np.complex128)
+    eps = np.finfo(np.float64).eps
+    s, e = np.linalg.eigh(gram)
+    keep = s > m * eps * max(float(s[-1]), 0.0)
+    s, e = s[keep], e[:, keep]
+    c = e.conj().T @ flatten_users(b)  # (r, Kd)
+    weight = np.sum(c.real ** 2 + c.imag ** 2, axis=1)
 
-    def power_of(x: np.ndarray) -> float:
-        return float(np.real(np.vdot(x, x)))
+    def solution(lam: float) -> PrecoderSet:
+        return PrecoderSet(split_users(e @ (c / (s + lam)[:, None]), K, d))
 
-    try:
-        x0 = solve_hpd(gram, bstack)
-        if power_of(x0) <= p_max:
-            return BisectionResult(0.0, PrecoderSet(_unstack_targets(x0, K, d)), True, 0)
-    except np.linalg.LinAlgError:
-        pass
+    x0 = solution(0.0)
+    if x0.total_power() <= p_max:
+        return BisectionResult(0.0, x0, True, 0)
 
-    lam_hi = math.sqrt(power_of(bstack) / p_max)
-    if lam_hi == 0.0:
-        return BisectionResult(0.0, PrecoderSet(np.zeros_like(b)), True, 0)
-
-    def solve_at(lam: float) -> np.ndarray | None:
-        try:
-            return solve_hpd(gram + lam * eye, bstack)
-        except np.linalg.LinAlgError:
-            return None
-
-    lo, hi = 0.0, lam_hi
-    x_hi = solve_at(lam_hi)
-    if x_hi is None:
-        raise ConfigError("system matrix is not positive semidefinite")
-    p_hi = power_of(x_hi)
-    band = (1.0 - 1e-3) * p_max
-    its = 0
-    while its < max_iter and not (p_hi >= band and (hi - lo) < tol):
-        mid = 0.5 * (lo + hi)
+    target = p_max * (1.0 - _POWER_MARGIN)
+    norm_b2 = float(np.sum(weight))
+    lo, hi = 0.0, math.sqrt(norm_b2 / p_max)
+    # P(lam) >= ||B||^2 / (s_max + lam)^2, so this start is on the infeasible side.
+    lam = min(max(math.sqrt(norm_b2 / target) - float(s[-1]), lo), hi)
+    its, converged = 0, False
+    while its < max_iter:
         its += 1
-        x_mid = solve_at(mid)
-        if x_mid is None or power_of(x_mid) > p_max:
-            lo = mid  # infeasible (or numerically indefinite) side
+        inv = 1.0 / (s + lam)
+        terms = weight * inv * inv
+        power = float(np.sum(terms))
+        if abs(power - target) <= 16.0 * eps * target:
+            converged = True
+            break
+        if power > target:
+            lo = lam
         else:
-            hi, x_hi, p_hi = mid, x_mid, power_of(x_mid)
-    converged = p_hi >= band and (hi - lo) < tol
+            hi = lam
+        step = power * (math.sqrt(power / target) - 1.0) / float(np.sum(terms * inv))
+        nxt = lam + step
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - lam) <= 2.0 * eps * nxt:
+            lam, converged = nxt, True
+            break
+        lam = nxt
     if not converged:
-        # Interior optimum with singular A: power never reaches the band.
-        x_ls = np.linalg.lstsq(gram, bstack, rcond=None)[0]
-        if power_of(x_ls) <= p_max:
-            return BisectionResult(0.0, PrecoderSet(_unstack_targets(x_ls, K, d)), True, its)
-    return BisectionResult(hi, PrecoderSet(_unstack_targets(x_hi, K, d)), converged, its)
+        lam = hi
+    return BisectionResult(lam, solution(lam), converged, its)
 
 
 def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max: float,
@@ -342,17 +363,20 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
     """Exact minimizer of the precoder subproblem over the sum-power ball:
     V_k = alpha_k (sum_m alpha_m H_m^H U_m W_m U_m^H H_m + lam I)^{-1} H_k^H U_k W_k.
 
-    With identity weight matrices this is exactly the unweighted sum-MSE
-    precoder update (the warm-start stage shares this code path).
+    Solved in the column space of F (see :class:`PrecoderFactor`): with the
+    thin QR F = Q R, A = Q (R D R^H) Q^H and B = Q (R D), so V = Q X, where X
+    solves the same subproblem with gram R D R^H and targets R D, both with
+    min(M, Kd) rows.  Q is M x M when Kd >= M; it is one code path for every
+    shape.  With identity weight matrices this is exactly the unweighted
+    sum-MSE precoder update (the warm-start stage shares this code path).
     """
-    h = _channel_stack(channels)
-    u = _receiver_stack(receivers)
-    w = _weight_stack(weight_matrices)
-    alpha = np.asarray(weights, dtype=np.float64)
-    gram = weighted_gram(channels, receivers, weight_matrices, weights)
-    targets = np.stack([float(alpha[k]) * (h[k].conj().T @ u[k] @ w[k]) for k in range(h.shape[0])])
-    result = bisect_dual(gram, targets, p_max, options.bisect_tol, options.bisect_max)
-    return result.precoders
+    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
+    q, r = np.linalg.qr(f)
+    rd = r @ dmat
+    K, d = _weight_stack(weight_matrices).shape[:2]
+    result = bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max,
+                         options.bisect_tol, options.bisect_max)
+    return PrecoderSet(q @ result.precoders.precoders)
 
 
 def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weights,
@@ -360,21 +384,16 @@ def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weight
     """Single projected gradient step on the precoder block:
     V_k = Pi(Vhat_k - gamma * grad_k(Vhat)).
 
-    Matrix multiplications only; the shared gradient factor is formed once.
+    Matrix multiplications only: every user's gradient comes from one
+    factored product (:meth:`PrecoderFactor.gradient`).
     """
     if not (gamma >= 0):
         raise ConfigError("gamma must be nonnegative")
-    h = _channel_stack(channels)
-    u = _receiver_stack(receivers)
-    w = _weight_stack(weight_matrices)
     vhat = _precoder_stack(extrapolated)
-    alpha = np.asarray(weights, dtype=np.float64)
-    common = gradient_common_factor(channels, receivers, weight_matrices, weights)
-    stepped = np.empty_like(vhat)
-    for k in range(h.shape[0]):
-        grad = common @ vhat[k] - 2.0 * float(alpha[k]) * (h[k].conj().T @ u[k] @ w[k])
-        stepped[k] = vhat[k] - gamma * grad
-    return project_sum_power(PrecoderSet(stepped), p_max)
+    K, _, d = vhat.shape
+    factor = precoder_factor(channels, receivers, weight_matrices, weights)
+    grad = factor.gradient(flatten_users(vhat), np.eye(K * d, dtype=np.complex128))
+    return project_sum_power(PrecoderSet(vhat - gamma * split_users(grad, K, d)), p_max)
 
 
 def extrapolate(current: PrecoderSet, previous: PrecoderSet, omega: float) -> PrecoderSet:
@@ -412,6 +431,19 @@ def _stationarity_residual(channels: ChannelSet, precoders: PrecoderSet, weights
     return float(np.linalg.norm(diff)) / max(1.0, norm_v)
 
 
+def _finite(t: int, block: str, update, *args):
+    """Run one block update of iteration ``t``.
+
+    The inputs were validated at the API, so a ConfigError here means that
+    an iterate container rejected the block's output as non-finite.
+    """
+    try:
+        return update(*args)
+    except ConfigError as exc:
+        raise NumericalError(
+            f"iteration {t}: the {block} update produced non-finite values ({exc})") from exc
+
+
 def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions, *,
              exact: bool, use_extrapolation: bool, start_weighted: bool) -> SolveResult:
     if channels.noise_power is None:
@@ -439,11 +471,11 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
 
     for t in range(1, options.max_iters + 1):
         if use_extrapolation and t >= 2 and omega > 0.0:
-            v_hat = extrapolate(v_curr, v_old, omega)
+            v_hat = _finite(t, "extrapolation", extrapolate, v_curr, v_old, omega)
         else:
             v_hat = v_curr
 
-        u = update_receivers(channels, v_hat, sigma2)
+        u = _finite(t, "receiver", update_receivers, channels, v_hat, sigma2)
         f_after_u = wmmse_objective(u, w_prev, v_hat, channels, weights, sigma2)
 
         if latched:
@@ -459,15 +491,17 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
                     switch_iteration = t
 
         if weighted_now:
-            w = update_weight_matrices(channels, u, v_hat)
+            w = _finite(t, "weight", update_weight_matrices, channels, u, v_hat)
         else:
             w = eye_w
         f_after_w = wmmse_objective(u, w, v_hat, channels, weights, sigma2)
 
         if exact:
-            v_new = update_precoders_exact(channels, u, w, weights, config.p_max, options)
+            v_new = _finite(t, "precoder", update_precoders_exact,
+                            channels, u, w, weights, config.p_max, options)
         else:
-            v_new = pgd_precoder_step(v_hat, u, w, channels, weights, gamma, config.p_max)
+            v_new = _finite(t, "precoder", pgd_precoder_step,
+                            v_hat, u, w, channels, weights, gamma, config.p_max)
         f_after_v = wmmse_objective(u, w, v_new, channels, weights, sigma2)
 
         snap = weighted_sum_rate(channels, v_new, weights)
@@ -520,7 +554,7 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
 
 def run_wmmse(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
     """Exact block-coordinate solver: MMSE receivers, standard weight update,
-    precoders by dual bisection; stops on the relative WSR change."""
+    precoders by the exact dual solve; stops on the relative WSR change."""
     if options.algorithm is not Algorithm.WMMSE:
         raise ConfigError("options.algorithm must be WMMSE")
     return _run_bcd(channels, config, options, exact=True, use_extrapolation=False,

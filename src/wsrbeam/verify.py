@@ -2,7 +2,7 @@
 
 Each oracle re-expresses its target quantity through a different route than
 the primary implementation (finite differences instead of the closed-form
-gradient, a plain projected-gradient loop instead of the dual bisection,
+gradient, a plain projected-gradient loop instead of the exact dual solve,
 water-filling instead of the iterative solver), so agreement is evidence
 rather than tautology.
 """

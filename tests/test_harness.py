@@ -223,3 +223,19 @@ class TestCli:
         rc = cli_main(["run", str(cfg_path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_programming_error_in_solve_propagates(tmp_path, monkeypatch):
+    # Only the package's errors and LinAlgError become failure rows; any
+    # other exception is a bug and fails the run.
+    import dataclasses
+    import wsrbeam.harness as harness
+
+    def broken(channels, config, options):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(harness, "solve", broken)
+    spec = wb.parse_experiment(spec_text(n_realizations=2, max_iters=100))
+    spec = dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=1)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        wb.run_experiment(spec)

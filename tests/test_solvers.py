@@ -475,3 +475,12 @@ class TestRunAmmmse:
         res = wb.run_ammmse(ch, cfg, opts)
         assert res.converged
         assert res.stationarity_residual <= 1e-3
+
+
+def test_non_finite_iterate_raises_numerical_error():
+    # An absurd step overflows the first gradient step: the error names the
+    # iteration and the block instead of blaming the input.
+    cfg, ch = make_system(seed=0)
+    opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=1e300)
+    with pytest.raises(wb.NumericalError, match=r"iteration \d+: the precoder update"):
+        wb.solve(ch, cfg, opts)
