@@ -30,7 +30,6 @@ from .objective import (
     BoundsReport,
     ObjectiveSnapshot,
     compute_bounds,
-    gradient_common_factor,
     gradient_v,
     mse_matrix,
     user_rate,

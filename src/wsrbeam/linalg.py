@@ -1,12 +1,13 @@
 """Hermitian linear-algebra helpers shared across the solver stack.
 
-No explicit matrix inverse is formed anywhere: positive definite systems go
-through a Cholesky factorization, and log-determinants are read off the
-Cholesky factor.
+Every helper takes one matrix or a stack of them (leading axes index the
+stack, the last two hold the matrix), so a per-user quantity is one call over
+all users.  No explicit matrix inverse is formed anywhere: positive definite
+systems go through a Cholesky factorization, and log-determinants are read
+off the Cholesky factor.  Stacks go through numpy's batched routines.
 """
 
 import numpy as np
-import scipy.linalg
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -15,16 +16,17 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for Hermitian positive definite ``a``.
+    """Solve ``a @ x = b`` for Hermitian positive definite ``a`` (or a stack).
 
     Raises ``numpy.linalg.LinAlgError`` if the Cholesky factorization fails,
     which callers use to detect (numerically) singular systems.
     """
-    c = scipy.linalg.cho_factor(a, lower=True)
-    return scipy.linalg.cho_solve(c, b)
-
-
-def lndet_hpd(a: np.ndarray) -> float:
-    """Natural-log determinant of a Hermitian positive definite matrix."""
     chol = np.linalg.cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+    return np.linalg.solve(np.conj(np.swapaxes(chol, -1, -2)), np.linalg.solve(chol, b))
+
+
+def lndet_hpd(a: np.ndarray):
+    """Natural-log determinant of a Hermitian positive definite matrix: a
+    float for one matrix, an array over the leading axes for a stack."""
+    chol = np.linalg.cholesky(a)
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)

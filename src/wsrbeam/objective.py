@@ -96,92 +96,111 @@ class ObjectiveSnapshot:
         object.__setattr__(self, "wsr_bits", self.wsr_nats / LN2)
 
 
+def received(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H_k [V_1 ... V_K]: (K, N, Kd) for a channel stack, (N, Kd) for one H_k."""
+    return h @ flatten_users(v)
+
+
+def covariance(hv: np.ndarray, noise_power: float) -> np.ndarray:
+    """sum_j H_k V_j V_j^H H_k^H + sigma^2 I over the column blocks of ``hv``
+    (a :func:`received` stack, or one of its rows)."""
+    return hermitianize(hv @ np.conj(np.swapaxes(hv, -1, -2))) + noise_power * np.eye(hv.shape[-2])
+
+
+def own_streams(hv: np.ndarray) -> np.ndarray:
+    """The (K, N, d) own-stream blocks H_k V_k of a :func:`received` stack."""
+    K, n, kd = hv.shape
+    return hv.reshape(K, n, K, kd // K)[np.arange(K), :, np.arange(K)]
+
+
+def interfering(hv: np.ndarray) -> np.ndarray:
+    """``hv`` with its own-stream blocks zeroed.  Its :func:`covariance` is the
+    interference-plus-noise covariance, formed directly rather than as
+    C_k - H_k V_k V_k^H H_k^H so it stays accurate at high SNR."""
+    K, _, kd = hv.shape
+    return hv * (1.0 - np.repeat(np.eye(K), kd // K, axis=1))[:, None, :]
+
+
+def mse_matrices(interference: np.ndarray, own: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H + U_k^H Q_k U_k from the
+    interference-plus-noise covariances Q_k, own-stream blocks and receivers
+    of every user (or of one): a symmetrized sum of PSD terms."""
+    uh = np.conj(np.swapaxes(receivers, -1, -2))
+    t = np.eye(own.shape[-1]) - uh @ own
+    return hermitianize(t @ np.conj(np.swapaxes(t, -1, -2)) + uh @ interference @ receivers)
+
+
+def rates(interference: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Rates in nats, ln det(Q_k + H_k V_k V_k^H H_k^H) - ln det Q_k, of every
+    user (or of one), from the same arguments as :func:`mse_matrices`."""
+    signal = hermitianize(interference + own @ np.conj(np.swapaxes(own, -1, -2)))
+    return np.maximum(lndet_hpd(signal) - lndet_hpd(interference), 0.0)
+
+
+def _one_user(channel: np.ndarray, precoders, noise_power: float, k: int):
+    """(Q_k, H_k V_k) of user ``k`` from its channel alone."""
+    v = _precoder_stack(precoders)
+    hv, d = received(channel, v), v.shape[2]
+    own = hv[:, k * d:(k + 1) * d].copy()
+    hv[:, k * d:(k + 1) * d] = 0.0
+    return covariance(hv, noise_power), own
+
+
 def mse_matrix(channel: np.ndarray, receiver: np.ndarray, precoders, noise_power: float, k: int) -> np.ndarray:
-    """MSE matrix of user ``k``'s stream estimates.
+    """MSE matrix of user ``k``'s stream estimates, one user's :func:`mse_matrices`.
 
     E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H
           + U_k^H (sum_{j != k} H_k V_j V_j^H H_k^H + sigma^2 I) U_k
-
-    Built as a sum of positive semidefinite terms and symmetrized, so the
-    result is Hermitian PSD up to roundoff.
     """
-    v = _precoder_stack(precoders)
-    K, _, d = v.shape
-    if channel.shape[1] != v.shape[1] or receiver.shape[0] != channel.shape[0]:
+    if channel.shape[1] != _precoder_stack(precoders).shape[1] or receiver.shape[0] != channel.shape[0]:
         raise ConfigError("inconsistent shapes for MSE matrix evaluation")
-    hv = channel @ v[k]  # (N, d)
-    t = np.eye(d, dtype=np.complex128) - receiver.conj().T @ hv
-    e = t @ t.conj().T + noise_power * (receiver.conj().T @ receiver)
-    for j in range(K):
-        if j == k:
-            continue
-        uhv = receiver.conj().T @ (channel @ v[j])  # (d, d)
-        e = e + uhv @ uhv.conj().T
-    return hermitianize(e)
+    return mse_matrices(*_one_user(channel, precoders, noise_power, k), receiver)
 
 
 def user_rate(channel: np.ndarray, precoders, noise_power: float, k: int) -> float:
-    """Achievable rate of user ``k`` in nats per channel use.
-
+    """Rate of user ``k`` in nats per channel use, one user's :func:`rates`:
     log det(I + H_k V_k V_k^H H_k^H (sum_{j != k} H_k V_j V_j^H H_k^H
-    + sigma^2 I)^{-1}), evaluated as a difference of two log-determinants of
-    Hermitian positive definite matrices.
-    """
+    + sigma^2 I)^{-1})."""
     if not (noise_power > 0):
         raise ConfigError("noise power must be positive")
-    v = _precoder_stack(precoders)
-    n = channel.shape[0]
-    cov = noise_power * np.eye(n, dtype=np.complex128)
-    for j in range(v.shape[0]):
-        if j == k:
-            continue
-        hv = channel @ v[j]
-        cov = cov + hv @ hv.conj().T
-    cov = hermitianize(cov)
-    own = channel @ v[k]
-    rate = lndet_hpd(hermitianize(cov + own @ own.conj().T)) - lndet_hpd(cov)
-    return max(rate, 0.0)
+    return float(rates(*_one_user(channel, precoders, noise_power, k)))
 
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
-    """Sum of per-user rates scaled by the user priorities.
+    """Sum of per-user rates scaled by the user priorities, in one stacked pass.
 
-    Per-user terms are accumulated in fixed user order so traces are
-    reproducible.  The returned snapshot leaves ``f_value`` unset (NaN): the
-    sum-MSE objective depends on receivers and weight matrices this function
-    does not see.
+    The returned snapshot leaves ``f_value`` unset (NaN): the sum-MSE
+    objective depends on receivers and weight matrices this function does not
+    see.
     """
     if channels.noise_power is None:
         raise ConfigError("channels carry no noise power; call compute_noise_power first")
-    h = _channel_stack(channels)
     v = _precoder_stack(precoders)
+    hv = received(_channel_stack(channels), v)
     alpha = np.asarray(weights, dtype=np.float64)
-    total = 0.0
-    for k in range(h.shape[0]):
-        total += float(alpha[k]) * user_rate(h[k], v, channels.noise_power, k)
+    total = float(alpha @ rates(covariance(interfering(hv), channels.noise_power), own_streams(hv)))
     power = float(np.real(np.vdot(v, v)))
     return ObjectiveSnapshot(wsr_nats=total, total_power=power)
 
 
 def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, noise_power: float) -> float:
-    """Matrix-weighted sum-MSE objective.
+    """Matrix-weighted sum-MSE objective, in one stacked pass.
 
     f = sum_k alpha_k (Tr(W_k E_k) - ln det W_k).  With all W_k = I this is
     the plain sum-MSE objective.
     """
-    h = _channel_stack(channels)
     u = _receiver_stack(receivers)
     w = _weight_stack(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
-    total = 0.0
-    for k in range(h.shape[0]):
-        try:
-            lndet_w = lndet_hpd(w[k])
-        except np.linalg.LinAlgError as exc:
-            raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
-        e = mse_matrix(h[k], u[k], precoders, noise_power, k)
-        total += float(alpha[k]) * (float(np.real(np.trace(w[k] @ e))) - lndet_w)
-    return total
+    try:
+        lndet_w = lndet_hpd(w)
+    except np.linalg.LinAlgError as exc:
+        k = int(np.argmin(np.linalg.eigvalsh(w)[:, 0]))
+        raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
+    hv = received(_channel_stack(channels), _precoder_stack(precoders))
+    e = mse_matrices(covariance(interfering(hv), noise_power), own_streams(hv), u)
+    trace_we = np.real(np.einsum("kij,kji->k", w, e))
+    return float(alpha @ (trace_we - lndet_w))
 
 
 class PrecoderFactor(NamedTuple):
@@ -228,14 +247,7 @@ def weighted_gram(channels, receivers, weight_matrices, weights) -> np.ndarray:
     return hermitianize(f @ dmat @ f.conj().T)
 
 
-def gradient_common_factor(channels, receivers, weight_matrices, weights) -> np.ndarray:
-    """The positive semidefinite M x M matrix 2 sum_m alpha_m H_m^H U_m W_m U_m^H H_m,
-    whose spectral norm the smoothness bound l_v controls."""
-    return 2.0 * weighted_gram(channels, receivers, weight_matrices, weights)
-
-
-def gradient_v(receivers, weight_matrices, precoder_k: np.ndarray, channels, weights, k: int,
-               common: np.ndarray | None = None) -> np.ndarray:
+def gradient_v(receivers, weight_matrices, precoder_k: np.ndarray, channels, weights, k: int) -> np.ndarray:
     """Gradient of the weighted sum-MSE objective in user ``k``'s precoder.
 
     grad = (2 sum_m alpha_m H_m^H U_m W_m U_m^H H_m) V_k
@@ -243,9 +255,7 @@ def gradient_v(receivers, weight_matrices, precoder_k: np.ndarray, channels, wei
 
     where the complex gradient is the real gradient over the stacked real and
     imaginary coordinates.  It is evaluated in the factored form of
-    :meth:`PrecoderFactor.gradient`, which is cheaper than any M x M product,
-    so ``common`` (from :func:`gradient_common_factor`) is accepted for
-    compatibility and not used.
+    :meth:`PrecoderFactor.gradient`, which is cheaper than any M x M product.
     """
     factor = precoder_factor(channels, receivers, weight_matrices, weights)
     d = _receiver_stack(receivers).shape[2]
@@ -264,11 +274,9 @@ def compute_bounds(channels, weights, p_max: float, noise_power: float) -> Bound
     h = _channel_stack(channels)
     alpha = np.asarray(weights, dtype=np.float64)
     K = h.shape[0]
-    kappa = 0.0
-    for k in range(K):
-        hk = h[k]
-        gram = hk @ hk.conj().T if hk.shape[0] <= hk.shape[1] else hk.conj().T @ hk
-        kappa = max(kappa, float(np.linalg.eigvalsh(hermitianize(gram))[-1]))
+    hh = np.conj(np.swapaxes(h, 1, 2))
+    gram = h @ hh if h.shape[1] <= h.shape[2] else hh @ h
+    kappa = float(np.max(np.linalg.eigvalsh(hermitianize(gram))[:, -1]))
     alpha_bar = float(alpha.max())
     l_v = 2.0 * alpha_bar * K * kappa / noise_power
     return BoundsReport(

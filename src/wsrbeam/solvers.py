@@ -18,9 +18,10 @@ with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
 the exact update solves its subproblem in the column space of F, of
 dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
 Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
-update and O(M (Kd)^2) for the gradient step; the receiver update and the
-objective and rate diagnostics cost O(K^2 N M d).  For Kd <= M the cost of an
-iteration grows linearly in M.
+update and O(M (Kd)^2) for the gradient step.  The receiver update and the
+objective and rate diagnostics cost O(K^2 N M d): all users at once, from the
+stacked product H_k [V_1 ... V_K] of :mod:`.objective` and batched Cholesky
+solves, with no per-user loop.  For Kd <= M an iteration is linear in M.
 
 Stage switching and termination are driven by relative changes of the
 weighted sum rate over *completed* iterates: the switch test inside
@@ -53,8 +54,11 @@ from .model import (
 from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py patches it here
     BoundsReport,
     compute_bounds,
+    covariance,
     flatten_users,
+    own_streams,
     precoder_factor,
+    received,
     split_users,
     weighted_gram,
     weighted_sum_rate,
@@ -82,7 +86,8 @@ STEP_DEFAULTS_BY_SNR: dict[float, tuple[float, float]] = {
 
 _COND_LIMIT = 1e12
 
-#: Relative margin below p_max that the exact dual solve aims the power at.
+#: Relative margin below p_max that the exact dual solve aims the power at,
+#: and that a sum-power projection falls back to when rounding overshoots.
 _POWER_MARGIN = 1e-13
 
 
@@ -110,9 +115,7 @@ class SolverOptions:
     (default table).  Both are only consulted by the first-order driver.
 
     ``bisect_max`` caps the Newton steps of the exact dual solve per
-    precoder update (it converges in a handful).  ``bisect_tol`` bounds
-    nothing: the dual variable is found to machine precision.  Both are
-    still validated and recorded in ``summary.json``, because specs name them.
+    precoder update (it converges in a handful, to machine precision).
     """
 
     algorithm: Algorithm = Algorithm.WMMSE
@@ -121,10 +124,8 @@ class SolverOptions:
     eps1: float = 0.1  # stage-switch threshold on relative WSR change
     eps2: float = 0.001  # termination threshold on relative WSR change
     max_iters: int = 1000
-    bisect_tol: float = 1e-4
     bisect_max: int = 100
     record_iterates: bool = False  # keep (U, W, V) per iteration for bound scans
-    latch_stage: bool = True  # False: literal re-test of eps1 every iteration
 
     def __post_init__(self) -> None:
         if not isinstance(self.algorithm, Algorithm):
@@ -150,8 +151,6 @@ class SolverOptions:
             raise ConfigError(f"eps2 ({self.eps2}) must not exceed eps1 ({self.eps1})")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if not (self.bisect_tol > 0):
-            raise ConfigError("bisect_tol must be positive")
         if self.bisect_max < 1:
             raise ConfigError("bisect_max must be at least 1")
 
@@ -230,21 +229,13 @@ def resolve_step_parameters(options: SolverOptions, snr_db: float,
 def update_receivers(channels, precoders, noise_power: float) -> ReceiverSet:
     """MMSE receive filters: U_k = (sum_j H_k V_j V_j^H H_k^H + sigma^2 I)^{-1} H_k V_k.
 
-    The system matrix is formed from the N x Kd products H_k [V_1 ... V_K],
-    never from the M x M covariance sum_j V_j V_j^H.  It is strictly positive
-    definite for sigma^2 > 0, so the Cholesky solve is always well posed.
+    The system matrices are the received covariances of the N x Kd products
+    H_k [V_1 ... V_K], never the M x M sum_j V_j V_j^H, and all K are solved
+    in one batched Cholesky solve.  They are strictly positive definite for
+    sigma^2 > 0, so the solve is always well posed.
     """
-    h = _channel_stack(channels)
-    v = _precoder_stack(precoders)
-    K, n, _ = h.shape
-    d = v.shape[2]
-    hv = h @ flatten_users(v)  # (K, N, Kd): H_k V_j for every j
-    eye = noise_power * np.eye(n, dtype=np.complex128)
-    out = np.empty((K, n, d), dtype=np.complex128)
-    for k in range(K):
-        g = hermitianize(hv[k] @ hv[k].conj().T) + eye
-        out[k] = solve_hpd(g, hv[k][:, k * d:(k + 1) * d])
-    return ReceiverSet(out)
+    hv = received(_channel_stack(channels), _precoder_stack(precoders))
+    return ReceiverSet(solve_hpd(covariance(hv, noise_power), own_streams(hv)))
 
 
 def update_weight_matrices(channels, receivers, precoders) -> WeightMatrixSet:
@@ -252,41 +243,48 @@ def update_weight_matrices(channels, receivers, precoders) -> WeightMatrixSet:
 
     With fresh MMSE receivers the argument equals the (Hermitian positive
     definite) MSE matrix, so the update is well posed; for other receivers a
-    near-singular argument raises with a condition estimate.
+    near-singular argument raises with a condition estimate naming the user.
+    All K updates are one batched condition estimate, solve and eigensolve.
     """
     h = _channel_stack(channels)
     u = _receiver_stack(receivers)
     v = _precoder_stack(precoders)
-    K, _, d = v.shape
-    eye = np.eye(d, dtype=np.complex128)
-    out = np.empty((K, d, d), dtype=np.complex128)
-    for k in range(K):
-        t = eye - u[k].conj().T @ h[k] @ v[k]
-        cond = np.linalg.cond(t)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise IllConditionedWeightError(
-                f"weight update for user {k} is ill conditioned (cond ~ {cond:.3e}); "
-                "receivers are not MMSE-consistent with the precoders")
-        w = hermitianize(np.linalg.solve(t, eye))
-        if float(np.linalg.eigvalsh(w)[0]) <= 0.0:
-            raise IllConditionedWeightError(
-                f"weight update for user {k} produced a non positive definite matrix; "
-                f"argument condition ~ {cond:.3e}")
-        out[k] = w
+    t = np.eye(v.shape[2]) - np.conj(np.swapaxes(u, 1, 2)) @ h @ v
+    cond = np.linalg.cond(t)
+    bad = np.flatnonzero(~np.isfinite(cond) | (cond > _COND_LIMIT))
+    if bad.size:
+        k = int(bad[0])
+        raise IllConditionedWeightError(
+            f"weight update for user {k} is ill conditioned (cond ~ {cond[k]:.3e}); "
+            "receivers are not MMSE-consistent with the precoders")
+    out = hermitianize(np.linalg.solve(t, np.broadcast_to(np.eye(v.shape[2]), t.shape)))
+    bad = np.flatnonzero(np.linalg.eigvalsh(out)[:, 0] <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        raise IllConditionedWeightError(
+            f"weight update for user {k} produced a non positive definite matrix; "
+            f"argument condition ~ {cond[k]:.3e}")
     return WeightMatrixSet(out, Stage.WEIGHTED)
 
 
 def project_sum_power(precoders: PrecoderSet, p_max: float) -> PrecoderSet:
     """Projection onto the sum-power ball: identity when feasible, otherwise
-    a uniform scaling by sqrt(p_max / power)."""
+    a uniform scaling by sqrt(p_max / power).
+
+    Rounding can leave the scaled power a few ulps above p_max; only then is
+    the scaling redone with the budget p_max (1 - 1e-13), so every returned
+    precoder set is feasible.
+    """
     power = precoders.total_power()
     if power <= p_max:
         return precoders
-    return PrecoderSet(precoders.precoders * math.sqrt(p_max / power))
+    v = precoders.precoders * math.sqrt(p_max / power)
+    if float(np.real(np.vdot(v, v))) > p_max:
+        v = precoders.precoders * math.sqrt(p_max * (1.0 - _POWER_MARGIN) / power)
+    return PrecoderSet(v)
 
 
-def bisect_dual(gram: np.ndarray, targets, p_max: float, tol: float = 1e-4,
-                max_iter: int = 100) -> BisectionResult:
+def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = 100) -> BisectionResult:
     """Solve V_k = (A + lam I)^{-1} B_k exactly, with lam >= 0 the dual
     variable of the sum-power constraint.
 
@@ -306,9 +304,9 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float, tol: float = 1e-4,
     [p_max (1 - 1e-12), p_max].
 
     The solve stops once the power is within 16 eps of its target or a step
-    no longer moves lam, that is at machine precision.  ``max_iter`` caps the Newton steps; a solve that reaches it returns the
-    feasible end of the bracket with ``converged=False``.  ``tol`` bounds
-    nothing any more and is accepted so existing callers keep working.
+    no longer moves lam, that is at machine precision.  ``max_iter`` caps the
+    Newton steps; a solve that reaches it returns the feasible end of the
+    bracket with ``converged=False``.
     """
     gram = np.asarray(gram, dtype=np.complex128)
     b = np.asarray(targets, dtype=np.complex128)
@@ -374,8 +372,7 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
     q, r = np.linalg.qr(f)
     rd = r @ dmat
     K, d = _weight_stack(weight_matrices).shape[:2]
-    result = bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max,
-                         options.bisect_tol, options.bisect_max)
+    result = bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max, options.bisect_max)
     return PrecoderSet(q @ result.precoders.precoders)
 
 
@@ -460,7 +457,7 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
     v_old = v_curr
     eye_w = WeightMatrixSet.identity(config.K, config.d)
     w_prev: WeightMatrixSet = eye_w
-    latched = start_weighted
+    weighted = start_weighted  # the stage latch: once weighted, weighted to the end
     switch_iteration: int | None = None
     wsr_hist: list[float] = []
     records: list[IterationRecord] = []
@@ -478,19 +475,13 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
         u = _finite(t, "receiver", update_receivers, channels, v_hat, sigma2)
         f_after_u = wmmse_objective(u, w_prev, v_hat, channels, weights, sigma2)
 
-        if latched:
-            weighted_now = True
-        else:
+        if not weighted:
             # Switch test: relative WSR change between iterations t-1 and t-2.
             rel_switch = math.inf if len(wsr_hist) < 2 else _rel_change(wsr_hist[-1], wsr_hist[-2])
-            weighted_now = rel_switch <= options.eps1
-            if weighted_now:
-                if options.latch_stage:
-                    latched = True
-                if switch_iteration is None:
-                    switch_iteration = t
+            if rel_switch <= options.eps1:
+                weighted, switch_iteration = True, t
 
-        if weighted_now:
+        if weighted:
             w = _finite(t, "weight", update_weight_matrices, channels, u, v_hat)
         else:
             w = eye_w
@@ -512,7 +503,7 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
             wsr_bits=snap.wsr_bits,
             f_value=f_after_v,
             total_power=snap.total_power,
-            stage=Stage.WEIGHTED if weighted_now else Stage.UNWEIGHTED,
+            stage=Stage.WEIGHTED if weighted else Stage.UNWEIGHTED,
             f_after_u=f_after_u,
             f_after_w=f_after_w,
             f_after_v=f_after_v,
@@ -534,13 +525,13 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
                     "too aggressive for this instance")
 
         v_old, v_curr, w_prev = v_curr, v_new, w
-        if weighted_now and rel <= options.eps2:
+        if weighted and rel <= options.eps2:
             converged = True
             break
 
     residual = _stationarity_residual(
         channels, v_curr, weights, sigma2, config.p_max, bounds,
-        weighted=(latched or records[-1].stage is Stage.WEIGHTED))
+        weighted=weighted)
     return SolveResult(
         final_precoders=v_curr,
         trace=tuple(records),

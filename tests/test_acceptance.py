@@ -142,7 +142,7 @@ def test_criterion_5_exact_solver_oracle():
         p_max = float(rng.choice([1.0, 2.0, 10.0]))
         cfg, ch = make_system(seed=trial, M=M, N=2, K=K, d=d, p_max=p_max)
         u, w, gram, targets = _subproblem(cfg, ch, trial)
-        opts = wb.SolverOptions(bisect_tol=1e-12, bisect_max=300)
+        opts = wb.SolverOptions(bisect_max=300)
         exact = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max, opts)
         ref = wb.reference_subproblem_solver(gram, targets, cfg.p_max, tol=1e-10)
         assert ref.converged

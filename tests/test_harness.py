@@ -21,7 +21,6 @@ class TestParseExperiment:
         assert spec.solver.eps1 == 0.1
         assert spec.solver.eps2 == 0.001
         assert spec.base.p_max == 10.0
-        assert spec.solver.bisect_tol == 1e-4
         assert spec.solver.bisect_max == 100
         assert spec.n_realizations == 20
         assert spec.solver.algorithm is wb.Algorithm.WMMSE
@@ -51,6 +50,10 @@ class TestParseExperiment:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="snr_dbb"):
             wb.parse_experiment(spec_text(snr_dbb=3))
+
+    def test_removed_bisect_tol_key_named(self):
+        with pytest.raises(ConfigError, match="bisect_tol"):
+            wb.parse_experiment(spec_text(bisect_tol=1e-4))
 
     def test_missing_required_named(self):
         doc = dict(MINIMAL)

@@ -80,7 +80,7 @@ class TestReferenceSubproblemSolver:
             alpha = cfg.weight_vector
             targets = np.stack([alpha[k] * (ch.channels[k].conj().T @ u.receivers[k]
                                             @ w.weight_matrices[k]) for k in range(cfg.K)])
-            opts = wb.SolverOptions(bisect_tol=1e-12, bisect_max=300)
+            opts = wb.SolverOptions(bisect_max=300)
             exact = wb.update_precoders_exact(ch, u, w, alpha, cfg.p_max, opts)
             ref = wb.reference_subproblem_solver(gram, targets, cfg.p_max, tol=1e-10)
 
