@@ -52,7 +52,7 @@ TRACE_HEADER = "iter,wsr_bpcu,f_nats,power,stage,f_after_u,f_after_w,f_after_v,r
 _SWEEPABLE = ("K", "M", "snr_db")
 
 _CONFIG_KEYS = {"M", "N", "K", "d", "p_max", "snr_db", "weights", "channel_seed", "init_seed"}
-_SOLVER_KEYS = {"algorithm", "gamma", "omega", "eps1", "eps2", "max_iters", "bisect_max"}
+_SOLVER_KEYS = {"algorithm", "gamma", "omega", "eps1", "eps2", "max_iters"}
 _SPEC_KEYS = {"n_realizations", "sweep", "parallel_workers", "output_dir"}
 
 # Coordinate budget above which the finite-difference oracle is skipped in
@@ -104,7 +104,7 @@ def _parse_field(raw: dict, key: str, kind, default=None, required=False):
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate a flat-key JSON experiment document.
 
-    Defaults: eps1=0.1, eps2=0.001, p_max=10, bisect_max=100;
+    Defaults: eps1=0.1, eps2=0.001, p_max=10;
     for the first-order solver, (omega, gamma) default by SNR from the
     operating-point table (left unresolved when snr_db is swept, the runner
     resolves them per sweep point).  Unknown keys and invalid ranges are
@@ -171,7 +171,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
         eps1=_parse_field(raw, "eps1", float, default=0.1),
         eps2=_parse_field(raw, "eps2", float, default=0.001),
         max_iters=_parse_field(raw, "max_iters", int, default=1000),
-        bisect_max=_parse_field(raw, "bisect_max", int, default=100),
     )
 
     return ExperimentSpec(
@@ -301,7 +300,6 @@ def _solver_dict(options: SolverOptions) -> dict:
         "eps1": options.eps1,
         "eps2": options.eps2,
         "max_iters": options.max_iters,
-        "bisect_max": options.bisect_max,
     }
 
 
@@ -402,7 +400,7 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
     sigma2 = compute_noise_power(channels, config.snr_db, config)
     channels = channels.with_noise_power(sigma2)
     weights = config.weight_vector
-    precoders = init_precoders(config, project_sum_power)
+    precoders = project_sum_power(init_precoders(config), config.p_max)
     receivers = update_receivers(channels, precoders, sigma2)
     wmats = update_weight_matrices(channels, receivers, precoders)
 
@@ -412,7 +410,7 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
     fd = finite_diff_gradient(objective, precoders)
     worst = 0.0
     for k in range(config.K):
-        analytic = gradient_v(receivers, wmats, precoders.precoders[k], channels, weights, k)
+        analytic = gradient_v(receivers, wmats, precoders[k], channels, weights, k)
         scale = max(float(np.linalg.norm(analytic)), 1e-12)
         worst = max(worst, float(np.linalg.norm(analytic - fd[k])) / scale)
     tol = 1e-6

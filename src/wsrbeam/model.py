@@ -1,5 +1,8 @@
 """System configuration, matrix-set data types, and random generation.
 
+The matrix sets validate their (K, ., .) stacks at the public API; the
+solvers work on plain arrays, and ``np.asarray`` of a set is its stack.
+
 All generation is a pure function of (config, seed).  Channel matrices and
 initial precoders are drawn from two independent counter-based Philox
 streams, so the precoder initialization can be varied while the channel
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -89,6 +91,11 @@ class SystemConfig:
         return np.asarray(self.weights, dtype=np.float64)
 
 
+def total_power(precoders: np.ndarray) -> float:
+    """Sum over users of Tr(V_k V_k^H) of a (K, M, d) precoder stack."""
+    return float(np.real(np.vdot(precoders, precoders)))
+
+
 def _matrix_stack(arrays, count: int | None, rows_cols: tuple[int, int] | None, name: str) -> np.ndarray:
     a = np.array(arrays, dtype=np.complex128, copy=True)
     if a.ndim != 3:
@@ -130,6 +137,9 @@ class ChannelSet:
     def M(self) -> int:
         return self.channels.shape[2]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.channels, dtype=dtype, copy=copy)
+
     def with_noise_power(self, noise_power: float) -> "ChannelSet":
         return ChannelSet(self.channels, noise_power)
 
@@ -143,9 +153,12 @@ class PrecoderSet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "precoders", _matrix_stack(self.precoders, None, None, "precoders"))
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.precoders, dtype=dtype, copy=copy)
+
     def total_power(self) -> float:
         """Sum over users of Tr(V_k V_k^H)."""
-        return float(np.real(np.vdot(self.precoders, self.precoders)))
+        return total_power(self.precoders)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +169,9 @@ class ReceiverSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "receivers", _matrix_stack(self.receivers, None, None, "receivers"))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.receivers, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +199,9 @@ class WeightMatrixSet:
             if not np.array_equal(w, eye):
                 raise ConfigError("UNWEIGHTED stage requires exact identity weight matrices")
         object.__setattr__(self, "weight_matrices", w)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.weight_matrices, dtype=dtype, copy=copy)
 
     @property
     def d(self) -> int:
@@ -222,14 +241,13 @@ def compute_noise_power(channels: ChannelSet, snr_db: float, config: SystemConfi
     return float(10.0 ** exponent)
 
 
-def init_precoders(config: SystemConfig, project: Callable[[PrecoderSet, float], PrecoderSet]) -> PrecoderSet:
-    """Gaussian initial precoders pushed onto the sum-power ball.
+def init_precoders(config: SystemConfig) -> np.ndarray:
+    """Raw (K, M, d) Gaussian draw for the initial precoders.
 
-    ``project`` is the feasibility projection (scale onto the ball when the
-    raw draw exceeds the budget); it is injected to keep this module free of
-    solver dependencies.
+    It may exceed the power budget; the solvers project it onto the
+    sum-power ball (:func:`wsrbeam.solvers.project_sum_power`) before the
+    first iteration.
     """
     rng = _rng(config.init_seed, _INIT_STREAM)
     shape = (config.K, config.M, config.d)
-    v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-    return project(PrecoderSet(v), config.p_max)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)

@@ -5,7 +5,9 @@ control safe step sizes.
 Conventions: every optimization-internal quantity (the objective ``f``, the
 rates used in stopping tests) is in natural log; reported sum rates are in
 bits per channel use (nats / ln 2).  Weight matrices must be Hermitian
-positive definite wherever the objective or gradient is evaluated.
+positive definite wherever the objective or gradient is evaluated.  Block
+arguments are (K, ., .) stacks: plain ndarrays or the matrix sets of
+:mod:`.model`, read through ``np.asarray``.
 """
 
 from __future__ import annotations
@@ -19,25 +21,9 @@ import scipy.linalg
 
 from .errors import ConfigError, ObjectiveDomainError
 from .linalg import hermitianize, lndet_hpd
-from .model import ChannelSet, PrecoderSet, ReceiverSet, WeightMatrixSet
+from .model import ChannelSet, total_power
 
 LN2 = math.log(2.0)
-
-
-def _channel_stack(channels) -> np.ndarray:
-    return channels.channels if isinstance(channels, ChannelSet) else np.asarray(channels)
-
-
-def _precoder_stack(precoders) -> np.ndarray:
-    return precoders.precoders if isinstance(precoders, PrecoderSet) else np.asarray(precoders)
-
-
-def _receiver_stack(receivers) -> np.ndarray:
-    return receivers.receivers if isinstance(receivers, ReceiverSet) else np.asarray(receivers)
-
-
-def _weight_stack(weights) -> np.ndarray:
-    return weights.weight_matrices if isinstance(weights, WeightMatrixSet) else np.asarray(weights)
 
 
 def flatten_users(stack: np.ndarray) -> np.ndarray:
@@ -83,11 +69,10 @@ class BoundsReport:
 
 @dataclass(frozen=True)
 class ObjectiveSnapshot:
-    """Weighted sum rate (both units), objective value, and transmit power."""
+    """Weighted sum rate (both units) and transmit power."""
 
     wsr_nats: float
     total_power: float
-    f_value: float = math.nan
     wsr_bits: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -139,7 +124,7 @@ def rates(interference: np.ndarray, own: np.ndarray) -> np.ndarray:
 
 def _one_user(channel: np.ndarray, precoders, noise_power: float, k: int):
     """(Q_k, H_k V_k) of user ``k`` from its channel alone."""
-    v = _precoder_stack(precoders)
+    v = np.asarray(precoders)
     hv, d = received(channel, v), v.shape[2]
     own = hv[:, k * d:(k + 1) * d].copy()
     hv[:, k * d:(k + 1) * d] = 0.0
@@ -152,7 +137,7 @@ def mse_matrix(channel: np.ndarray, receiver: np.ndarray, precoders, noise_power
     E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H
           + U_k^H (sum_{j != k} H_k V_j V_j^H H_k^H + sigma^2 I) U_k
     """
-    if channel.shape[1] != _precoder_stack(precoders).shape[1] or receiver.shape[0] != channel.shape[0]:
+    if channel.shape[1] != np.asarray(precoders).shape[1] or receiver.shape[0] != channel.shape[0]:
         raise ConfigError("inconsistent shapes for MSE matrix evaluation")
     return mse_matrices(*_one_user(channel, precoders, noise_power, k), receiver)
 
@@ -167,20 +152,14 @@ def user_rate(channel: np.ndarray, precoders, noise_power: float, k: int) -> flo
 
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
-    """Sum of per-user rates scaled by the user priorities, in one stacked pass.
-
-    The returned snapshot leaves ``f_value`` unset (NaN): the sum-MSE
-    objective depends on receivers and weight matrices this function does not
-    see.
-    """
+    """Sum of per-user rates scaled by the user priorities, in one stacked pass."""
     if channels.noise_power is None:
         raise ConfigError("channels carry no noise power; call compute_noise_power first")
-    v = _precoder_stack(precoders)
-    hv = received(_channel_stack(channels), v)
+    v = np.asarray(precoders)
+    hv = received(np.asarray(channels), v)
     alpha = np.asarray(weights, dtype=np.float64)
     total = float(alpha @ rates(covariance(interfering(hv), channels.noise_power), own_streams(hv)))
-    power = float(np.real(np.vdot(v, v)))
-    return ObjectiveSnapshot(wsr_nats=total, total_power=power)
+    return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(v))
 
 
 def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, noise_power: float) -> float:
@@ -189,15 +168,15 @@ def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, no
     f = sum_k alpha_k (Tr(W_k E_k) - ln det W_k).  With all W_k = I this is
     the plain sum-MSE objective.
     """
-    u = _receiver_stack(receivers)
-    w = _weight_stack(weight_matrices)
+    u = np.asarray(receivers)
+    w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
     try:
         lndet_w = lndet_hpd(w)
     except np.linalg.LinAlgError as exc:
         k = int(np.argmin(np.linalg.eigvalsh(w)[:, 0]))
         raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
-    hv = received(_channel_stack(channels), _precoder_stack(precoders))
+    hv = received(np.asarray(channels), np.asarray(precoders))
     e = mse_matrices(covariance(interfering(hv), noise_power), own_streams(hv), u)
     trace_we = np.real(np.einsum("kij,kji->k", w, e))
     return float(alpha @ (trace_we - lndet_w))
@@ -229,9 +208,9 @@ class PrecoderFactor(NamedTuple):
 
 def precoder_factor(channels, receivers, weight_matrices, weights) -> PrecoderFactor:
     """F and D of the precoder subproblem at the given receivers and weights."""
-    h = _channel_stack(channels)
-    u = _receiver_stack(receivers)
-    w = _weight_stack(weight_matrices)
+    h = np.asarray(channels)
+    u = np.asarray(receivers)
+    w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
     hu = np.conj(np.swapaxes(h, 1, 2)) @ u  # (K, M, d): H_k^H U_k
     return PrecoderFactor(flatten_users(hu), scipy.linalg.block_diag(*(alpha[:, None, None] * w)))
@@ -258,7 +237,7 @@ def gradient_v(receivers, weight_matrices, precoder_k: np.ndarray, channels, wei
     :meth:`PrecoderFactor.gradient`, which is cheaper than any M x M product.
     """
     factor = precoder_factor(channels, receivers, weight_matrices, weights)
-    d = _receiver_stack(receivers).shape[2]
+    d = np.asarray(receivers).shape[2]
     select = np.eye(factor.dmat.shape[0], dtype=np.complex128)[:, k * d:(k + 1) * d]
     return factor.gradient(precoder_k, select)
 
@@ -271,7 +250,7 @@ def compute_bounds(channels, weights, p_max: float, noise_power: float) -> Bound
     """
     if not (noise_power > 0):
         raise ConfigError("noise power must be positive")
-    h = _channel_stack(channels)
+    h = np.asarray(channels)
     alpha = np.asarray(weights, dtype=np.float64)
     K = h.shape[0]
     hh = np.conj(np.swapaxes(h, 1, 2))

@@ -23,6 +23,11 @@ objective and rate diagnostics cost O(K^2 N M d): all users at once, from the
 stacked product H_k [V_1 ... V_K] of :mod:`.objective` and batched Cholesky
 solves, with no per-user loop.  For Kd <= M an iteration is linear in M.
 
+The loop works on plain (K, ., .) ndarrays: every block function reads its
+block arguments (arrays or matrix sets) through ``np.asarray``, returns an
+array, and the loop checks that array is finite.  Matrix sets are built only
+for the :class:`SolveResult`.
+
 Stage switching and termination are driven by relative changes of the
 weighted sum rate over *completed* iterates: the switch test inside
 iteration t compares iterations t-1 and t-2, the stop test compares t and
@@ -50,6 +55,7 @@ from .model import (
     SystemConfig,
     WeightMatrixSet,
     init_precoders,
+    total_power,
 )
 from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py patches it here
     BoundsReport,
@@ -63,10 +69,6 @@ from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py pa
     weighted_gram,
     weighted_sum_rate,
     wmmse_objective,
-    _channel_stack,
-    _precoder_stack,
-    _receiver_stack,
-    _weight_stack,
 )
 
 #: Sentinel for SolverOptions.gamma selecting the provably-descending step.
@@ -89,6 +91,9 @@ _COND_LIMIT = 1e12
 #: Relative margin below p_max that the exact dual solve aims the power at,
 #: and that a sum-power projection falls back to when rounding overshoots.
 _POWER_MARGIN = 1e-13
+
+#: Cap on the Newton steps of one exact dual solve (it needs at most ~10).
+_NEWTON_MAX = 100
 
 
 class Algorithm(Enum):
@@ -113,9 +118,6 @@ class SolverOptions:
     provably-descending step from the bounds report), or None (use the
     SNR-keyed default table).  ``omega`` may be a number in [0, 1) or None
     (default table).  Both are only consulted by the first-order driver.
-
-    ``bisect_max`` caps the Newton steps of the exact dual solve per
-    precoder update (it converges in a handful, to machine precision).
     """
 
     algorithm: Algorithm = Algorithm.WMMSE
@@ -124,7 +126,6 @@ class SolverOptions:
     eps1: float = 0.1  # stage-switch threshold on relative WSR change
     eps2: float = 0.001  # termination threshold on relative WSR change
     max_iters: int = 1000
-    bisect_max: int = 100
     record_iterates: bool = False  # keep (U, W, V) per iteration for bound scans
 
     def __post_init__(self) -> None:
@@ -151,8 +152,6 @@ class SolverOptions:
             raise ConfigError(f"eps2 ({self.eps2}) must not exceed eps1 ({self.eps1})")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.bisect_max < 1:
-            raise ConfigError("bisect_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ class BlockIterate(NamedTuple):
 
 class BisectionResult(NamedTuple):
     lam: float
-    precoders: PrecoderSet
+    precoders: np.ndarray  # (K, m, d)
     converged: bool
     iterations: int
 
@@ -226,7 +225,7 @@ def resolve_step_parameters(options: SolverOptions, snr_db: float,
     return gamma, omega
 
 
-def update_receivers(channels, precoders, noise_power: float) -> ReceiverSet:
+def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
     """MMSE receive filters: U_k = (sum_j H_k V_j V_j^H H_k^H + sigma^2 I)^{-1} H_k V_k.
 
     The system matrices are the received covariances of the N x Kd products
@@ -234,11 +233,11 @@ def update_receivers(channels, precoders, noise_power: float) -> ReceiverSet:
     in one batched Cholesky solve.  They are strictly positive definite for
     sigma^2 > 0, so the solve is always well posed.
     """
-    hv = received(_channel_stack(channels), _precoder_stack(precoders))
-    return ReceiverSet(solve_hpd(covariance(hv, noise_power), own_streams(hv)))
+    hv = received(np.asarray(channels), np.asarray(precoders))
+    return solve_hpd(covariance(hv, noise_power), own_streams(hv))
 
 
-def update_weight_matrices(channels, receivers, precoders) -> WeightMatrixSet:
+def update_weight_matrices(channels, receivers, precoders) -> np.ndarray:
     """Weight update W_k = (I - U_k^H H_k V_k)^{-1}, symmetrized after the solve.
 
     With fresh MMSE receivers the argument equals the (Hermitian positive
@@ -246,9 +245,9 @@ def update_weight_matrices(channels, receivers, precoders) -> WeightMatrixSet:
     near-singular argument raises with a condition estimate naming the user.
     All K updates are one batched condition estimate, solve and eigensolve.
     """
-    h = _channel_stack(channels)
-    u = _receiver_stack(receivers)
-    v = _precoder_stack(precoders)
+    h = np.asarray(channels)
+    u = np.asarray(receivers)
+    v = np.asarray(precoders)
     t = np.eye(v.shape[2]) - np.conj(np.swapaxes(u, 1, 2)) @ h @ v
     cond = np.linalg.cond(t)
     bad = np.flatnonzero(~np.isfinite(cond) | (cond > _COND_LIMIT))
@@ -264,10 +263,10 @@ def update_weight_matrices(channels, receivers, precoders) -> WeightMatrixSet:
         raise IllConditionedWeightError(
             f"weight update for user {k} produced a non positive definite matrix; "
             f"argument condition ~ {cond[k]:.3e}")
-    return WeightMatrixSet(out, Stage.WEIGHTED)
+    return out
 
 
-def project_sum_power(precoders: PrecoderSet, p_max: float) -> PrecoderSet:
+def project_sum_power(precoders, p_max: float) -> np.ndarray:
     """Projection onto the sum-power ball: identity when feasible, otherwise
     a uniform scaling by sqrt(p_max / power).
 
@@ -275,16 +274,17 @@ def project_sum_power(precoders: PrecoderSet, p_max: float) -> PrecoderSet:
     the scaling redone with the budget p_max (1 - 1e-13), so every returned
     precoder set is feasible.
     """
-    power = precoders.total_power()
+    v = np.asarray(precoders)
+    power = total_power(v)
     if power <= p_max:
-        return precoders
-    v = precoders.precoders * math.sqrt(p_max / power)
-    if float(np.real(np.vdot(v, v))) > p_max:
-        v = precoders.precoders * math.sqrt(p_max * (1.0 - _POWER_MARGIN) / power)
-    return PrecoderSet(v)
+        return v
+    scaled = v * math.sqrt(p_max / power)
+    if total_power(scaled) > p_max:
+        scaled = v * math.sqrt(p_max * (1.0 - _POWER_MARGIN) / power)
+    return scaled
 
 
-def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = 100) -> BisectionResult:
+def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = _NEWTON_MAX) -> BisectionResult:
     """Solve V_k = (A + lam I)^{-1} B_k exactly, with lam >= 0 the dual
     variable of the sum-power constraint.
 
@@ -318,11 +318,11 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = 100) ->
     c = e.conj().T @ flatten_users(b)  # (r, Kd)
     weight = np.sum(c.real ** 2 + c.imag ** 2, axis=1)
 
-    def solution(lam: float) -> PrecoderSet:
-        return PrecoderSet(split_users(e @ (c / (s + lam)[:, None]), K, d))
+    def solution(lam: float) -> np.ndarray:
+        return split_users(e @ (c / (s + lam)[:, None]), K, d)
 
     x0 = solution(0.0)
-    if x0.total_power() <= p_max:
+    if total_power(x0) <= p_max:
         return BisectionResult(0.0, x0, True, 0)
 
     target = p_max * (1.0 - _POWER_MARGIN)
@@ -356,8 +356,7 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = 100) ->
     return BisectionResult(lam, solution(lam), converged, its)
 
 
-def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max: float,
-                           options: SolverOptions) -> PrecoderSet:
+def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max: float) -> np.ndarray:
     """Exact minimizer of the precoder subproblem over the sum-power ball:
     V_k = alpha_k (sum_m alpha_m H_m^H U_m W_m U_m^H H_m + lam I)^{-1} H_k^H U_k W_k.
 
@@ -371,13 +370,12 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
     f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
     q, r = np.linalg.qr(f)
     rd = r @ dmat
-    K, d = _weight_stack(weight_matrices).shape[:2]
-    result = bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max, options.bisect_max)
-    return PrecoderSet(q @ result.precoders.precoders)
+    K, d = np.asarray(weight_matrices).shape[:2]
+    return q @ bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max).precoders
 
 
 def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weights,
-                      gamma: float, p_max: float) -> PrecoderSet:
+                      gamma: float, p_max: float) -> np.ndarray:
     """Single projected gradient step on the precoder block:
     V_k = Pi(Vhat_k - gamma * grad_k(Vhat)).
 
@@ -386,14 +384,14 @@ def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weight
     """
     if not (gamma >= 0):
         raise ConfigError("gamma must be nonnegative")
-    vhat = _precoder_stack(extrapolated)
+    vhat = np.asarray(extrapolated)
     K, _, d = vhat.shape
     factor = precoder_factor(channels, receivers, weight_matrices, weights)
     grad = factor.gradient(flatten_users(vhat), np.eye(K * d, dtype=np.complex128))
-    return project_sum_power(PrecoderSet(vhat - gamma * split_users(grad, K, d)), p_max)
+    return project_sum_power(vhat - gamma * split_users(grad, K, d), p_max)
 
 
-def extrapolate(current: PrecoderSet, previous: PrecoderSet, omega: float) -> PrecoderSet:
+def extrapolate(current, previous, omega: float) -> np.ndarray:
     """Momentum point Vhat = V_cur + omega (V_cur - V_prev).
 
     No projection is applied: the point feeds the receiver update and the
@@ -401,9 +399,9 @@ def extrapolate(current: PrecoderSet, previous: PrecoderSet, omega: float) -> Pr
     """
     if not (0.0 <= omega < 1.0):
         raise ConfigError(f"omega must lie in [0, 1), got {omega!r}")
-    cur = _precoder_stack(current)
-    prev = _precoder_stack(previous)
-    return PrecoderSet(cur + omega * (cur - prev))
+    cur = np.asarray(current)
+    prev = np.asarray(previous)
+    return cur + omega * (cur - prev)
 
 
 def _rel_change(new: float, old: float) -> float:
@@ -413,87 +411,84 @@ def _rel_change(new: float, old: float) -> float:
     return abs(new - old) / denom
 
 
-def _stationarity_residual(channels: ChannelSet, precoders: PrecoderSet, weights,
-                           noise_power: float, p_max: float, bounds: BoundsReport,
+def _stationarity_residual(h: np.ndarray, v: np.ndarray, weights, noise_power: float,
+                           p_max: float, bounds: BoundsReport, eye_w: np.ndarray,
                            weighted: bool) -> float:
     """Norm of the projected-gradient fixed-point map at the exit iterate,
     ||V - Pi(V - gamma_safe grad f)||_F / max(1, ||V||_F), evaluated with
-    fresh MMSE receivers and the exit stage's weight matrices."""
-    u = update_receivers(channels, precoders, noise_power)
-    K, _, d = precoders.precoders.shape
-    w = update_weight_matrices(channels, u, precoders) if weighted else WeightMatrixSet.identity(K, d)
-    stepped = pgd_precoder_step(precoders, u, w, channels, weights, bounds.gamma_safe, p_max)
-    diff = precoders.precoders - stepped.precoders
-    norm_v = math.sqrt(max(precoders.total_power(), 0.0))
-    return float(np.linalg.norm(diff)) / max(1.0, norm_v)
+    fresh MMSE receivers and the exit stage's weight matrices (``eye_w`` in
+    the unweighted stage)."""
+    u = update_receivers(h, v, noise_power)
+    w = update_weight_matrices(h, u, v) if weighted else eye_w
+    stepped = pgd_precoder_step(v, u, w, h, weights, bounds.gamma_safe, p_max)
+    norm_v = math.sqrt(max(total_power(v), 0.0))
+    return float(np.linalg.norm(v - stepped)) / max(1.0, norm_v)
 
 
-def _finite(t: int, block: str, update, *args):
-    """Run one block update of iteration ``t``.
-
-    The inputs were validated at the API, so a ConfigError here means that
-    an iterate container rejected the block's output as non-finite.
-    """
-    try:
-        return update(*args)
-    except ConfigError as exc:
-        raise NumericalError(
-            f"iteration {t}: the {block} update produced non-finite values ({exc})") from exc
+def _finite(t: int, block: str, out: np.ndarray) -> np.ndarray:
+    """``out``, the output of a block update of iteration ``t``, if finite."""
+    if not np.isfinite(out).all():
+        raise NumericalError(f"iteration {t}: the {block} update produced non-finite values")
+    return out
 
 
 def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions, *,
              exact: bool, use_extrapolation: bool, start_weighted: bool) -> SolveResult:
     if channels.noise_power is None:
         raise ConfigError("channels carry no noise power; call compute_noise_power first")
+    h = np.asarray(channels)
+    if h.shape != (config.K, config.N, config.M):
+        raise ConfigError(f"channels have shape (K, N, M) = {h.shape}, but the config "
+                          f"has (K, N, M) = {(config.K, config.N, config.M)}")
     sigma2 = channels.noise_power
     weights = config.weight_vector
-    bounds = compute_bounds(channels, weights, config.p_max, sigma2)
+    bounds = compute_bounds(h, weights, config.p_max, sigma2)
     if options.algorithm is Algorithm.AMMMSE:
         gamma, omega = resolve_step_parameters(options, config.snr_db, bounds)
     else:
         gamma, omega = 0.0, 0.0
 
-    v_curr = init_precoders(config, project_sum_power)
+    v_curr = project_sum_power(init_precoders(config), config.p_max)
     v_old = v_curr
-    eye_w = WeightMatrixSet.identity(config.K, config.d)
-    w_prev: WeightMatrixSet = eye_w
+    eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
+    w_prev = eye_w
     weighted = start_weighted  # the stage latch: once weighted, weighted to the end
     switch_iteration: int | None = None
     wsr_hist: list[float] = []
     records: list[IterationRecord] = []
-    iterates: list[BlockIterate] | None = [] if options.record_iterates else None
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, Stage]] = []
     running_max = -math.inf
     drop_streak = 0
     converged = False
 
     for t in range(1, options.max_iters + 1):
         if use_extrapolation and t >= 2 and omega > 0.0:
-            v_hat = _finite(t, "extrapolation", extrapolate, v_curr, v_old, omega)
+            v_hat = _finite(t, "extrapolation", extrapolate(v_curr, v_old, omega))
         else:
             v_hat = v_curr
 
-        u = _finite(t, "receiver", update_receivers, channels, v_hat, sigma2)
-        f_after_u = wmmse_objective(u, w_prev, v_hat, channels, weights, sigma2)
+        u = _finite(t, "receiver", update_receivers(h, v_hat, sigma2))
+        f_after_u = wmmse_objective(u, w_prev, v_hat, h, weights, sigma2)
 
         if not weighted:
             # Switch test: relative WSR change between iterations t-1 and t-2.
             rel_switch = math.inf if len(wsr_hist) < 2 else _rel_change(wsr_hist[-1], wsr_hist[-2])
             if rel_switch <= options.eps1:
                 weighted, switch_iteration = True, t
+        stage = Stage.WEIGHTED if weighted else Stage.UNWEIGHTED
 
         if weighted:
-            w = _finite(t, "weight", update_weight_matrices, channels, u, v_hat)
+            w = _finite(t, "weight", update_weight_matrices(h, u, v_hat))
         else:
             w = eye_w
-        f_after_w = wmmse_objective(u, w, v_hat, channels, weights, sigma2)
+        f_after_w = wmmse_objective(u, w, v_hat, h, weights, sigma2)
 
         if exact:
-            v_new = _finite(t, "precoder", update_precoders_exact,
-                            channels, u, w, weights, config.p_max, options)
+            v_new = update_precoders_exact(h, u, w, weights, config.p_max)
         else:
-            v_new = _finite(t, "precoder", pgd_precoder_step,
-                            v_hat, u, w, channels, weights, gamma, config.p_max)
-        f_after_v = wmmse_objective(u, w, v_new, channels, weights, sigma2)
+            v_new = pgd_precoder_step(v_hat, u, w, h, weights, gamma, config.p_max)
+        v_new = _finite(t, "precoder", v_new)
+        f_after_v = wmmse_objective(u, w, v_new, h, weights, sigma2)
 
         snap = weighted_sum_rate(channels, v_new, weights)
         rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, wsr_hist[-1])
@@ -503,14 +498,14 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
             wsr_bits=snap.wsr_bits,
             f_value=f_after_v,
             total_power=snap.total_power,
-            stage=Stage.WEIGHTED if weighted else Stage.UNWEIGHTED,
+            stage=stage,
             f_after_u=f_after_u,
             f_after_w=f_after_w,
             f_after_v=f_after_v,
             rel_change=rel,
         ))
-        if iterates is not None:
-            iterates.append(BlockIterate(u, w, v_new))
+        if options.record_iterates:
+            blocks.append((u, w, v_new, stage))
 
         if options.algorithm is Algorithm.AMMMSE:
             running_max = max(running_max, snap.wsr_nats)
@@ -530,16 +525,19 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
             break
 
     residual = _stationarity_residual(
-        channels, v_curr, weights, sigma2, config.p_max, bounds,
-        weighted=weighted)
+        h, v_curr, weights, sigma2, config.p_max, bounds, eye_w, weighted=weighted)
+    iterates = None
+    if options.record_iterates:
+        iterates = tuple(BlockIterate(ReceiverSet(u), WeightMatrixSet(w, stage), PrecoderSet(v))
+                         for u, w, v, stage in blocks)
     return SolveResult(
-        final_precoders=v_curr,
+        final_precoders=PrecoderSet(v_curr),
         trace=tuple(records),
         iterations=len(records),
         converged=converged,
         stationarity_residual=residual,
         switch_iteration=switch_iteration,
-        iterates=tuple(iterates) if iterates is not None else None,
+        iterates=iterates,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import hermitianize
 from .model import ChannelSet, PrecoderSet
-from .objective import mse_matrix, _precoder_stack
+from .objective import mse_matrix
 from .solvers import SolveResult
 
 
@@ -60,7 +60,7 @@ def finite_diff_gradient(objective: Callable[[PrecoderSet], float], precoders: P
     """
     if not (h > 0):
         raise ConfigError("step h must be positive")
-    base = np.array(_precoder_stack(precoders), copy=True)
+    base = np.array(precoders, copy=True)
     grad = np.zeros_like(base)
     it = np.ndindex(base.shape)
     for idx in it:

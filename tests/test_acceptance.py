@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 import wsrbeam as wb
+from wsrbeam.model import total_power
 from wsrbeam.objective import weighted_gram
 
 from conftest import make_system, mmse_blocks
@@ -103,7 +104,7 @@ def test_criterion_4_gradient_correctness():
         N = int(rng.integers(max(1, d - 1), 4))  # mixes d <= N and d > N
         cfg, ch = make_system(seed=trial, M=M, N=N, K=K, d=d,
                               snr_db=float(rng.uniform(0.0, 20.0)))
-        v = wb.init_precoders(cfg, wb.project_sum_power)
+        v = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
         u, w = mmse_blocks(ch, v)
 
         def objective(vv):
@@ -111,7 +112,7 @@ def test_criterion_4_gradient_correctness():
 
         fd = wb.finite_diff_gradient(objective, v)
         for k in range(cfg.K):
-            g = wb.gradient_v(u, w, v.precoders[k], ch, cfg.weight_vector, k)
+            g = wb.gradient_v(u, w, v[k], ch, cfg.weight_vector, k)
             worst = max(worst, float(np.linalg.norm(g - fd[k]) / np.linalg.norm(g)))
     ok = worst < 1e-6
     assert report(4, "gradient correctness", ok, f"worst relative error {worst:.3e}")
@@ -127,8 +128,8 @@ def _subproblem(cfg, ch, seed):
     u, w = mmse_blocks(ch, v)
     gram = weighted_gram(ch, u, w, cfg.weight_vector)
     alpha = cfg.weight_vector
-    targets = np.stack([alpha[k] * (ch.channels[k].conj().T @ u.receivers[k]
-                                    @ w.weight_matrices[k]) for k in range(cfg.K)])
+    targets = np.stack([alpha[k] * (ch.channels[k].conj().T @ u[k]
+                                    @ w[k]) for k in range(cfg.K)])
     return u, w, gram, targets
 
 
@@ -142,21 +143,20 @@ def test_criterion_5_exact_solver_oracle():
         p_max = float(rng.choice([1.0, 2.0, 10.0]))
         cfg, ch = make_system(seed=trial, M=M, N=2, K=K, d=d, p_max=p_max)
         u, w, gram, targets = _subproblem(cfg, ch, trial)
-        opts = wb.SolverOptions(bisect_max=300)
-        exact = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max, opts)
+        exact = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max)
         ref = wb.reference_subproblem_solver(gram, targets, cfg.p_max, tol=1e-10)
         assert ref.converged
 
         def quad(vset):
             total = 0.0
             for k in range(cfg.K):
-                vk = vset.precoders[k]
+                vk = np.asarray(vset)[k]
                 total += float(np.real(np.trace(vk.conj().T @ gram @ vk)))
                 total -= 2.0 * float(np.real(np.trace(targets[k].conj().T @ vk)))
             return total
 
         worst_obj = max(worst_obj, abs(quad(exact) - quad(ref.precoders)))
-        worst_v = max(worst_v, float(np.linalg.norm(exact.precoders - ref.precoders.precoders)
+        worst_v = max(worst_v, float(np.linalg.norm(exact - ref.precoders.precoders)
                                      / np.linalg.norm(ref.precoders.precoders)))
     ok = worst_obj <= 1e-8 and worst_v <= 1e-4
     assert report(5, "exact-solver oracle", ok,
@@ -178,7 +178,7 @@ def test_criterion_6_power_constraint_activity():
         cfg, ch = make_system(seed=trial, M=M, N=2, K=K, d=d, p_max=p_max)
         _, _, gram, targets = _subproblem(cfg, ch, trial + 100)
         res = wb.bisect_dual(gram, targets, cfg.p_max)
-        power = res.precoders.total_power()
+        power = total_power(res.precoders)
         if res.lam > 0:
             n_active += 1
             if not (0.999 * cfg.p_max <= power <= cfg.p_max):

@@ -66,7 +66,7 @@ class TestMseMatrix:
             u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
             k = seed % cfg.K
             e = wb.mse_matrix(ch.channels[k], u, v, ch.noise_power, k)
-            expected = naive_mse_matrix(ch.channels[k], u, v.precoders, ch.noise_power, k)
+            expected = naive_mse_matrix(ch.channels[k], u, v, ch.noise_power, k)
             np.testing.assert_allclose(e, expected, atol=1e-12)
 
     def test_hermitian_psd(self):
@@ -84,7 +84,7 @@ class TestUserRate:
     def test_zero_precoder_zero_rate(self, small_system):
         cfg, ch = small_system
         rng = np.random.default_rng(4)
-        v = random_feasible(rng, cfg).precoders.copy()
+        v = random_feasible(rng, cfg).copy()
         v[0] = 0.0
         assert wb.user_rate(ch.channels[0], wb.PrecoderSet(v), ch.noise_power, 0) == 0.0
 
@@ -129,7 +129,7 @@ class TestWeightedSumRate:
         cfg, ch = make_system(seed=7, M=6, N=2, K=3, d=2, weights=(0.5, 1.0, 2.0))
         v = random_feasible(np.random.default_rng(7), cfg)
         snap = wb.weighted_sum_rate(ch, v, cfg.weight_vector)
-        expected = sum(cfg.weights[k] * naive_user_rate(ch.channels[k], v.precoders, ch.noise_power, k)
+        expected = sum(cfg.weights[k] * naive_user_rate(ch.channels[k], v, ch.noise_power, k)
                        for k in range(cfg.K))
         assert snap.wsr_nats == pytest.approx(expected, rel=1e-12)
 
@@ -152,7 +152,7 @@ def test_stacked_route_matches_per_user_references(K, d):
         v = random_feasible(rng, cfg)
         h = ch.channels
         snap = wb.weighted_sum_rate(ch, v, cfg.weight_vector)
-        expected = sum(weights[k] * naive_user_rate(h[k], v.precoders, ch.noise_power, k)
+        expected = sum(weights[k] * naive_user_rate(h[k], v, ch.noise_power, k)
                        for k in range(K))
         assert snap.wsr_nats == pytest.approx(expected, rel=1e-12)
 
@@ -160,10 +160,10 @@ def test_stacked_route_matches_per_user_references(K, d):
         x = rng.standard_normal((K, d, d)) + 1j * rng.standard_normal((K, d, d))
         random_u = rng.standard_normal((K, cfg.N, d)) + 1j * rng.standard_normal((K, cfg.N, d))
         random_w = x @ x.conj().transpose(0, 2, 1) + np.eye(d)
-        for u, w in ((mmse_u.receivers, mmse_w.weight_matrices), (random_u, random_w)):
+        for u, w in ((mmse_u, mmse_w), (random_u, random_w)):
             f = wb.wmmse_objective(u, w, v, ch, cfg.weight_vector, ch.noise_power)
             expected = sum(
-                weights[k] * (np.trace(w[k] @ naive_mse_matrix(h[k], u[k], v.precoders,
+                weights[k] * (np.trace(w[k] @ naive_mse_matrix(h[k], u[k], v,
                                                                 ch.noise_power, k)).real
                               - np.linalg.slogdet(w[k])[1])
                 for k in range(K))
@@ -178,8 +178,8 @@ class TestWmmseObjective:
         u = wb.update_receivers(ch, v, ch.noise_power)
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
         f = wb.wmmse_objective(u, eye, v, ch, cfg.weight_vector, ch.noise_power)
-        expected = sum(np.trace(naive_mse_matrix(ch.channels[k], u.receivers[k],
-                                                 v.precoders, ch.noise_power, k)).real
+        expected = sum(np.trace(naive_mse_matrix(ch.channels[k], u[k],
+                                                 v, ch.noise_power, k)).real
                        for k in range(cfg.K))
         assert f == pytest.approx(expected, rel=1e-12)
 
@@ -211,7 +211,7 @@ class TestWmmseObjective:
             u = wb.update_receivers(ch, v, ch.noise_power)
             eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
             f = wb.wmmse_objective(u, eye, v, ch, cfg.weight_vector, ch.noise_power)
-            expected = np.trace(naive_mse_matrix(ch.channels[0], u.receivers[0], v.precoders,
+            expected = np.trace(naive_mse_matrix(ch.channels[0], u[0], v,
                                                  ch.noise_power, 0)).real
             assert f == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -230,7 +230,7 @@ class TestGradient:
         v = random_feasible(np.random.default_rng(12), cfg)
         u = wb.ReceiverSet(np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex))
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
-        g = wb.gradient_v(u, eye, v.precoders[0], ch, cfg.weight_vector, 0)
+        g = wb.gradient_v(u, eye, v[0], ch, cfg.weight_vector, 0)
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
     def test_zero_precoder_linear_term(self, small_system):
@@ -239,8 +239,8 @@ class TestGradient:
         u, w = mmse_blocks(ch, v)
         zero = np.zeros((cfg.M, cfg.d), dtype=complex)
         g = wb.gradient_v(u, w, zero, ch, cfg.weight_vector, 1)
-        expected = -2.0 * cfg.weights[1] * (ch.channels[1].conj().T @ u.receivers[1]
-                                            @ w.weight_matrices[1])
+        expected = -2.0 * cfg.weights[1] * (ch.channels[1].conj().T @ u[1]
+                                            @ w[1])
         np.testing.assert_allclose(g, expected, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -255,7 +255,7 @@ class TestGradient:
 
             fd = wb.finite_diff_gradient(objective, v)
             for k in range(cfg.K):
-                g = wb.gradient_v(u, w, v.precoders[k], ch, cfg.weight_vector, k)
+                g = wb.gradient_v(u, w, v[k], ch, cfg.weight_vector, k)
                 rel = np.linalg.norm(g - fd[k]) / np.linalg.norm(g)
                 assert rel < 1e-6
 
@@ -319,8 +319,8 @@ class TestAnalysisProperties:
             candidates = [
                 rng.standard_normal((cfg.K, cfg.N, cfg.d))
                 + 1j * rng.standard_normal((cfg.K, cfg.N, cfg.d)),
-                wb.update_receivers(ch, other, ch.noise_power).receivers,
-                wb.update_receivers(ch, v, ch.noise_power).receivers,
+                wb.update_receivers(ch, other, ch.noise_power),
+                wb.update_receivers(ch, v, ch.noise_power),
             ]
             for u in candidates:
                 for k in range(cfg.K):
@@ -347,10 +347,10 @@ class TestAnalysisProperties:
             vb = random_feasible(rng, cfg)
             diff = 0.0
             for k in range(cfg.K):
-                ga = wb.gradient_v(u, w, va.precoders[k], ch, cfg.weight_vector, k)
-                gb = wb.gradient_v(u, w, vb.precoders[k], ch, cfg.weight_vector, k)
+                ga = wb.gradient_v(u, w, va[k], ch, cfg.weight_vector, k)
+                gb = wb.gradient_v(u, w, vb[k], ch, cfg.weight_vector, k)
                 diff += np.linalg.norm(ga - gb) ** 2
-            dv = np.linalg.norm(va.precoders - vb.precoders)
+            dv = np.linalg.norm(va - vb)
             assert math.sqrt(diff) <= (b.l_v + 1e-6) * dv
 
     def test_single_pgd_step_descends(self):

@@ -7,22 +7,25 @@ import numpy as np
 import pytest
 
 import wsrbeam as wb
+from wsrbeam.model import total_power
 
 from conftest import make_system, mmse_blocks
 
 
 def dense_gram(cfg, ch, u, w):
     """sum_m alpha_m H_m^H U_m W_m U_m^H H_m, accumulated user by user."""
+    u, w = np.asarray(u), np.asarray(w)
     total = np.zeros((cfg.M, cfg.M), dtype=complex)
     for m in range(cfg.K):
-        hu = ch.channels[m].conj().T @ u.receivers[m]
-        total += cfg.weight_vector[m] * (hu @ w.weight_matrices[m] @ hu.conj().T)
+        hu = ch.channels[m].conj().T @ u[m]
+        total += cfg.weight_vector[m] * (hu @ w[m] @ hu.conj().T)
     return 0.5 * (total + total.conj().T)
 
 
 def dense_targets(cfg, ch, u, w):
-    return np.stack([cfg.weight_vector[k] * (ch.channels[k].conj().T @ u.receivers[k]
-                                             @ w.weight_matrices[k]) for k in range(cfg.K)])
+    u, w = np.asarray(u), np.asarray(w)
+    return np.stack([cfg.weight_vector[k] * (ch.channels[k].conj().T @ u[k]
+                                             @ w[k]) for k in range(cfg.K)])
 
 
 def random_blocks(cfg, ch, seed):
@@ -47,20 +50,19 @@ def test_exact_update_matches_reference(M, K, d, p_max, zero_user):
         cfg, ch = make_system(seed=seed, M=M, N=2, K=K, d=d, p_max=p_max)
         _, u, w = random_blocks(cfg, ch, seed + 50)
         if zero_user:
-            r = u.receivers.copy()
+            r = u.copy()
             r[1] = 0.0
             u = wb.ReceiverSet(r)
-        opts = wb.SolverOptions()
-        out = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max, opts)
+        out = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max)
         gram, targets = dense_gram(cfg, ch, u, w), dense_targets(cfg, ch, u, w)
         ref = wb.reference_subproblem_solver(gram, targets, cfg.p_max, tol=1e-12)
         assert ref.converged
-        assert out.total_power() <= cfg.p_max
-        rel = (np.linalg.norm(out.precoders - ref.precoders.precoders)
+        assert total_power(out) <= cfg.p_max
+        rel = (np.linalg.norm(out - ref.precoders.precoders)
                / np.linalg.norm(ref.precoders.precoders))
         assert rel < 1e-6
         if zero_user:
-            np.testing.assert_allclose(out.precoders[1], 0.0, atol=1e-12)
+            np.testing.assert_allclose(out[1], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("M,K,d", SHAPES)
@@ -70,14 +72,14 @@ def test_factored_gradient_matches_dense_formula(M, K, d):
         v, u, w = random_blocks(cfg, ch, seed + 60)
         gram, targets = dense_gram(cfg, ch, u, w), dense_targets(cfg, ch, u, w)
         gamma = 0.3 / np.linalg.norm(gram, 2)
-        dense = np.stack([2.0 * gram @ v.precoders[k] - 2.0 * targets[k] for k in range(K)])
+        dense = np.stack([2.0 * gram @ v[k] - 2.0 * targets[k] for k in range(K)])
         for k in range(K):
-            g = wb.gradient_v(u, w, v.precoders[k], ch, cfg.weight_vector, k)
+            g = wb.gradient_v(u, w, v[k], ch, cfg.weight_vector, k)
             assert np.linalg.norm(g - dense[k]) <= 1e-12 * np.linalg.norm(dense[k])
         stepped = wb.pgd_precoder_step(v, u, w, ch, cfg.weight_vector, gamma, cfg.p_max)
-        expected = wb.project_sum_power(wb.PrecoderSet(v.precoders - gamma * dense), cfg.p_max)
-        assert (np.linalg.norm(stepped.precoders - expected.precoders)
-                <= 1e-12 * np.linalg.norm(expected.precoders))
+        expected = wb.project_sum_power(wb.PrecoderSet(v - gamma * dense), cfg.p_max)
+        assert (np.linalg.norm(stepped - expected)
+                <= 1e-12 * np.linalg.norm(expected))
 
 
 def test_dual_solve_active_power_within_one_part_in_1e12():
@@ -91,7 +93,7 @@ def test_dual_solve_active_power_within_one_part_in_1e12():
         cfg, ch = make_system(seed=trial, M=M, N=2, K=K, d=d, p_max=p_max)
         _, u, w = random_blocks(cfg, ch, trial + 90)
         res = wb.bisect_dual(dense_gram(cfg, ch, u, w), dense_targets(cfg, ch, u, w), p_max)
-        power = res.precoders.total_power()
+        power = total_power(res.precoders)
         assert power <= p_max
         if res.lam > 0:
             n_active += 1

@@ -5,6 +5,7 @@ import pytest
 
 import wsrbeam as wb
 from wsrbeam.errors import ConfigError, IllConditionedWeightError, UnstableParametersError
+from wsrbeam.model import total_power
 from wsrbeam.objective import weighted_gram
 
 from conftest import make_system, mmse_blocks
@@ -19,7 +20,7 @@ def random_feasible(rng, cfg):
 def subproblem_targets(cfg, ch, receivers, wmats):
     alpha = cfg.weight_vector
     return np.stack([
-        alpha[k] * (ch.channels[k].conj().T @ receivers.receivers[k] @ wmats.weight_matrices[k])
+        alpha[k] * (ch.channels[k].conj().T @ receivers[k] @ wmats[k])
         for k in range(cfg.K)
     ])
 
@@ -57,7 +58,7 @@ class TestUpdateReceivers:
         cfg, ch = small_system
         v = wb.PrecoderSet(np.zeros((cfg.K, cfg.M, cfg.d), dtype=complex))
         u = wb.update_receivers(ch, v, ch.noise_power)
-        np.testing.assert_array_equal(u.receivers, 0.0)
+        np.testing.assert_array_equal(u, 0.0)
 
     def test_scalar_diagonal_case(self):
         # K=1, H=I, V=v I, sigma^2=1 -> U = v/(v^2+1) I
@@ -67,7 +68,7 @@ class TestUpdateReceivers:
         v = wb.PrecoderSet(v_scale * np.eye(d, dtype=complex)[None])
         u = wb.update_receivers(ch, v, 1.0)
         expected = (v_scale / (v_scale ** 2 + 1.0)) * np.eye(d)
-        np.testing.assert_allclose(u.receivers[0], expected, atol=1e-12)
+        np.testing.assert_allclose(u[0], expected, atol=1e-12)
 
     def test_stationarity_by_finite_differences(self, small_system):
         # Gradient of f in U vanishes at the returned receivers.
@@ -76,7 +77,7 @@ class TestUpdateReceivers:
         u = wb.update_receivers(ch, v, ch.noise_power)
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
         h = 1e-6
-        base = u.receivers
+        base = u
         worst = 0.0
         for idx in [(0, 0, 0), (1, 1, 1), (2, 0, 1)]:
             for unit in (1.0, 1.0j):
@@ -95,7 +96,7 @@ class TestUpdateReceivers:
             v = random_feasible(np.random.default_rng(seed), cfg)
             u = wb.update_receivers(ch, v, ch.noise_power)
             for k in range(cfg.K):
-                norm2 = float(np.real(np.vdot(u.receivers[k], u.receivers[k])))
+                norm2 = float(np.real(np.vdot(u[k], u[k])))
                 assert norm2 <= cfg.d / ch.noise_power + 1e-9
 
 
@@ -105,7 +106,7 @@ class TestUpdateWeightMatrices:
         v = random_feasible(np.random.default_rng(21), cfg)
         u = wb.ReceiverSet(np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex))
         w = wb.update_weight_matrices(ch, u, v)
-        np.testing.assert_allclose(w.weight_matrices,
+        np.testing.assert_allclose(w,
                                    np.tile(np.eye(cfg.d), (cfg.K, 1, 1)), atol=1e-14)
 
     def test_inverse_identity_at_mmse_point(self):
@@ -114,8 +115,8 @@ class TestUpdateWeightMatrices:
             v = random_feasible(np.random.default_rng(seed), cfg)
             u, w = mmse_blocks(ch, v)
             for k in range(cfg.K):
-                e = wb.mse_matrix(ch.channels[k], u.receivers[k], v, ch.noise_power, k)
-                assert np.linalg.norm(w.weight_matrices[k] @ e - np.eye(cfg.d)) < 1e-8
+                e = wb.mse_matrix(ch.channels[k], u[k], v, ch.noise_power, k)
+                assert np.linalg.norm(w[k] @ e - np.eye(cfg.d)) < 1e-8
 
     def test_scalar_case(self):
         d, v_scale = 2, 1.3
@@ -124,7 +125,7 @@ class TestUpdateWeightMatrices:
         v = wb.PrecoderSet(v_scale * np.eye(d, dtype=complex)[None])
         u = wb.update_receivers(ch, v, 1.0)
         w = wb.update_weight_matrices(ch, u, v)
-        np.testing.assert_allclose(w.weight_matrices[0],
+        np.testing.assert_allclose(w[0],
                                    (1 + v_scale ** 2) * np.eye(d), rtol=1e-12)
 
     def test_singular_argument_raises_with_condition(self):
@@ -139,14 +140,14 @@ class TestUpdateWeightMatrices:
 
 class TestProjectSumPower:
     def test_feasible_input_unchanged(self):
-        v = wb.PrecoderSet(0.1 * np.ones((2, 3, 1), dtype=complex))
+        v = 0.1 * np.ones((2, 3, 1), dtype=complex)
         assert wb.project_sum_power(v, 10.0) is v
 
     def test_four_x_power_halved(self):
         v = np.zeros((1, 2, 1), dtype=complex)
         v[0, 0, 0] = 2.0
         out = wb.project_sum_power(wb.PrecoderSet(v), 1.0)
-        np.testing.assert_array_equal(out.precoders, v / 2.0)
+        np.testing.assert_array_equal(out, v / 2.0)
 
     def test_scaled_branch_hits_budget(self):
         rng = np.random.default_rng(22)
@@ -155,7 +156,7 @@ class TestProjectSumPower:
                                       + 1j * rng.standard_normal((3, 4, 2))))
             p_max = float(rng.uniform(0.5, 5.0))
             out = wb.project_sum_power(v, p_max)
-            assert out.total_power() == pytest.approx(p_max, rel=1e-12)
+            assert total_power(out) == pytest.approx(p_max, rel=1e-12)
 
     def test_scaled_branch_never_overshoots(self):
         # Scaling by sqrt(p_max / power) alone rounds above p_max on about
@@ -165,7 +166,7 @@ class TestProjectSumPower:
         for _ in range(20000):
             v = wb.PrecoderSet(rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2)))
             p_max = float(rng.uniform(0.1, 10.0))
-            over += wb.project_sum_power(v, p_max).total_power() > p_max
+            over += total_power(wb.project_sum_power(v, p_max)) > p_max
         assert over == 0
 
 
@@ -180,7 +181,7 @@ class TestBisectDual:
         p_max = 2.0 * float(np.real(np.vdot(direct, direct)))
         res = wb.bisect_dual(gram, b, p_max)
         assert res.lam == 0.0 and res.converged
-        assert res.precoders.total_power() <= p_max
+        assert total_power(res.precoders) <= p_max
 
     def test_scalar_closed_form(self):
         # A = a, B = b, p_max < (b/a)^2:  lam = |b|/sqrt(p_max) - a
@@ -189,7 +190,7 @@ class TestBisectDual:
                              max_iter=200)
         expected = abs(b) / math.sqrt(p_max) - a
         assert res.lam == pytest.approx(expected, abs=1e-9)
-        assert res.precoders.total_power() == pytest.approx(p_max, rel=1e-6)
+        assert total_power(res.precoders) == pytest.approx(p_max, rel=1e-6)
 
     def test_active_constraint_power(self):
         rng = np.random.default_rng(24)
@@ -201,15 +202,15 @@ class TestBisectDual:
             targets = subproblem_targets(cfg, ch, u, w)
             res = wb.bisect_dual(gram, targets, cfg.p_max)
             if res.lam > 0:
-                assert cfg.p_max * (1 - 1e-3) <= res.precoders.total_power() <= cfg.p_max
+                assert cfg.p_max * (1 - 1e-3) <= total_power(res.precoders) <= cfg.p_max
             else:
-                assert res.precoders.total_power() <= cfg.p_max
+                assert total_power(res.precoders) <= cfg.p_max
 
     def test_zero_targets(self):
         gram = np.zeros((3, 3), dtype=complex)
         b = np.zeros((2, 3, 1), dtype=complex)
         res = wb.bisect_dual(gram, b, 1.0)
-        assert res.lam == 0.0 and res.precoders.total_power() == 0.0
+        assert res.lam == 0.0 and total_power(res.precoders) == 0.0
 
     def test_singular_gram_interior_falls_back_to_least_squares(self):
         # rank-1 PSD gram with consistent targets and a generous budget:
@@ -220,7 +221,7 @@ class TestBisectDual:
         res = wb.bisect_dual(gram, b, p_max=100.0)
         assert res.lam == 0.0 and res.converged
         expected = 0.1 * u  # gram^+ b
-        np.testing.assert_allclose(res.precoders.precoders[0], expected, atol=1e-8)
+        np.testing.assert_allclose(res.precoders[0], expected, atol=1e-8)
 
 
 class TestUpdatePrecodersExact:
@@ -228,9 +229,8 @@ class TestUpdatePrecodersExact:
         cfg, ch = small_system
         u = wb.ReceiverSet(np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex))
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
-        out = wb.update_precoders_exact(ch, u, eye, cfg.weight_vector, cfg.p_max,
-                                        wb.SolverOptions())
-        np.testing.assert_array_equal(out.precoders, 0.0)
+        out = wb.update_precoders_exact(ch, u, eye, cfg.weight_vector, cfg.p_max)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_identity_weights_equal_explicit_identity(self, small_system):
         # The unweighted (warm-start) precoder update is literally the same
@@ -240,23 +240,21 @@ class TestUpdatePrecodersExact:
         u = wb.update_receivers(ch, v, ch.noise_power)
         eye_a = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
         eye_b = wb.WeightMatrixSet(np.tile(np.eye(cfg.d, dtype=complex), (cfg.K, 1, 1)))
-        opts = wb.SolverOptions()
-        out_a = wb.update_precoders_exact(ch, u, eye_a, cfg.weight_vector, cfg.p_max, opts)
-        out_b = wb.update_precoders_exact(ch, u, eye_b, cfg.weight_vector, cfg.p_max, opts)
-        assert out_a.precoders.tobytes() == out_b.precoders.tobytes()
+        out_a = wb.update_precoders_exact(ch, u, eye_a, cfg.weight_vector, cfg.p_max)
+        out_b = wb.update_precoders_exact(ch, u, eye_b, cfg.weight_vector, cfg.p_max)
+        assert out_a.tobytes() == out_b.tobytes()
 
     def test_matches_reference_solver(self):
         for seed in range(6):
             cfg, ch = make_system(seed=seed, M=8, N=2, K=4, d=2, p_max=2.0)
             v = random_feasible(np.random.default_rng(seed), cfg)
             u, w = mmse_blocks(ch, v)
-            opts = wb.SolverOptions(bisect_max=200)
-            out = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max, opts)
+            out = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max)
             gram = weighted_gram(ch, u, w, cfg.weight_vector)
             targets = subproblem_targets(cfg, ch, u, w)
             ref = wb.reference_subproblem_solver(gram, targets, cfg.p_max, tol=1e-10)
             assert ref.converged
-            rel = (np.linalg.norm(out.precoders - ref.precoders.precoders)
+            rel = (np.linalg.norm(out - ref.precoders.precoders)
                    / np.linalg.norm(ref.precoders.precoders))
             assert rel < 1e-4
 
@@ -266,8 +264,7 @@ class TestUpdatePrecodersExact:
         v = random_feasible(np.random.default_rng(26), cfg)
         u, w = mmse_blocks(ch, v)
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
-        opts = wb.SolverOptions(bisect_max=200)
-        exact = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max, opts)
+        exact = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max)
         iterate = v
         for _ in range(1000):
             iterate = wb.pgd_precoder_step(iterate, u, w, ch, cfg.weight_vector,
@@ -281,11 +278,11 @@ class TestPgdStep:
     def test_zero_gradient_fixed_point(self, small_system):
         cfg, ch = small_system
         # strictly inside the ball so the projection is the identity
-        v = wb.PrecoderSet(0.9 * random_feasible(np.random.default_rng(27), cfg).precoders)
+        v = wb.PrecoderSet(0.9 * random_feasible(np.random.default_rng(27), cfg))
         u = wb.ReceiverSet(np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex))
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
         out = wb.pgd_precoder_step(v, u, eye, ch, cfg.weight_vector, 0.01, cfg.p_max)
-        np.testing.assert_array_equal(out.precoders, v.precoders)
+        np.testing.assert_array_equal(out, v.precoders)
 
     def test_gamma_zero_is_projection(self, small_system):
         cfg, ch = small_system
@@ -295,7 +292,7 @@ class TestPgdStep:
         u, w = mmse_blocks(ch, wb.project_sum_power(raw, cfg.p_max))
         out = wb.pgd_precoder_step(raw, u, w, ch, cfg.weight_vector, 0.0, cfg.p_max)
         expected = wb.project_sum_power(raw, cfg.p_max)
-        np.testing.assert_array_equal(out.precoders, expected.precoders)
+        np.testing.assert_array_equal(out, expected)
 
     def test_safe_step_never_increases_f(self):
         for seed in range(5):
@@ -317,18 +314,18 @@ class TestExtrapolate:
         a = random_feasible(rng, cfg)
         b = random_feasible(rng, cfg)
         out = wb.extrapolate(a, b, 0.0)
-        np.testing.assert_array_equal(out.precoders, a.precoders)
+        np.testing.assert_array_equal(out, a)
 
     def test_equal_iterates(self, small_system):
         cfg, _ = small_system
         a = random_feasible(np.random.default_rng(30), cfg)
         out = wb.extrapolate(a, a, 0.7)
-        np.testing.assert_allclose(out.precoders, a.precoders, atol=0)
+        np.testing.assert_allclose(out, a, atol=0)
 
     def test_arithmetic(self):
         x = np.ones((1, 2, 1), dtype=complex)
         out = wb.extrapolate(wb.PrecoderSet(2 * x), wb.PrecoderSet(x), 0.5)
-        np.testing.assert_allclose(out.precoders, 2.5 * x, atol=0)
+        np.testing.assert_allclose(out, 2.5 * x, atol=0)
 
 
 class TestRunWmmse:
@@ -489,6 +486,56 @@ def test_non_finite_iterate_raises_numerical_error():
     opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=1e300)
     with pytest.raises(wb.NumericalError, match=r"iteration \d+: the precoder update"):
         wb.solve(ch, cfg, opts)
+
+
+@pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
+@pytest.mark.parametrize("field", ["N", "K", "M"])
+def test_channels_must_match_config(algorithm, field):
+    # Channels drawn for one system, solved under a config that differs in
+    # one dimension: a ConfigError naming both shapes, not a silent solve or
+    # a bare numpy error.
+    dims = dict(M=8, N=2, K=3, d=2)
+    _, ch = make_system(seed=0, **dims)
+    dims[field] += 1
+    cfg = wb.SystemConfig(**dims)
+    with pytest.raises(ConfigError) as info:
+        wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
+    assert str(ch.channels.shape) in str(info.value)
+    assert str((cfg.K, cfg.N, cfg.M)) in str(info.value)
+
+
+def test_block_functions_accept_containers_and_arrays(small_system):
+    # np.asarray of a matrix set is its stack, so every block function gives
+    # the same bytes on the sets and on their plain arrays.
+    cfg, ch = small_system
+    v = random_feasible(np.random.default_rng(31), cfg)
+    vset = wb.PrecoderSet(v)
+    assert np.asarray(vset) is vset.precoders
+    assert np.asarray(ch) is ch.channels
+    u = wb.update_receivers(ch.channels, v, ch.noise_power)
+    assert u.tobytes() == wb.update_receivers(ch, vset, ch.noise_power).tobytes()
+    w = wb.update_weight_matrices(ch.channels, u, v)
+    uset, wset = wb.ReceiverSet(u), wb.WeightMatrixSet(w)
+    assert w.tobytes() == wb.update_weight_matrices(ch, uset, vset).tobytes()
+    alpha = cfg.weight_vector
+    exact = wb.update_precoders_exact(ch.channels, u, w, alpha, cfg.p_max)
+    assert exact.tobytes() == wb.update_precoders_exact(ch, uset, wset, alpha, cfg.p_max).tobytes()
+    step = wb.pgd_precoder_step(v, u, w, ch.channels, alpha, 0.01, cfg.p_max)
+    assert step.tobytes() == wb.pgd_precoder_step(vset, uset, wset, ch, alpha, 0.01,
+                                                  cfg.p_max).tobytes()
+    for out in (u, w, exact, step):
+        assert type(out) is np.ndarray
+
+
+def test_recorded_iterates_carry_the_stage_flags():
+    cfg, ch = make_system(seed=0, M=8, N=2, K=3, d=2)
+    res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE,
+                                             record_iterates=True))
+    assert res.switch_iteration is not None and len(res.iterates) == res.iterations
+    for rec, it in zip(res.trace, res.iterates):
+        assert it.weight_matrices.stage_flag is rec.stage
+        assert it.precoders.total_power() == rec.total_power
+    assert res.iterates[-1].precoders.precoders.tobytes() == res.final_precoders.precoders.tobytes()
 
 
 def _solve_outcome(channels, config, algorithm):

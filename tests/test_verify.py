@@ -78,16 +78,15 @@ class TestReferenceSubproblemSolver:
             u, w = mmse_blocks(ch, v)
             gram = weighted_gram(ch, u, w, cfg.weight_vector)
             alpha = cfg.weight_vector
-            targets = np.stack([alpha[k] * (ch.channels[k].conj().T @ u.receivers[k]
-                                            @ w.weight_matrices[k]) for k in range(cfg.K)])
-            opts = wb.SolverOptions(bisect_max=300)
-            exact = wb.update_precoders_exact(ch, u, w, alpha, cfg.p_max, opts)
+            targets = np.stack([alpha[k] * (ch.channels[k].conj().T @ u[k]
+                                            @ w[k]) for k in range(cfg.K)])
+            exact = wb.update_precoders_exact(ch, u, w, alpha, cfg.p_max)
             ref = wb.reference_subproblem_solver(gram, targets, cfg.p_max, tol=1e-10)
 
             def quad(vset):
                 total = 0.0
                 for k in range(cfg.K):
-                    vk = vset.precoders[k]
+                    vk = np.asarray(vset)[k]
                     total += float(np.real(np.trace(vk.conj().T @ gram @ vk)))
                     total -= 2.0 * float(np.real(np.trace(targets[k].conj().T @ vk)))
                 return total
@@ -142,7 +141,7 @@ class TestCheckLemmaBounds:
     def test_trivial_floor_with_zero_receivers(self, small_system):
         cfg, ch = small_system
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
-        v = wb.init_precoders(cfg, wb.project_sum_power)
+        v = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
         u0 = np.zeros((cfg.N, cfg.d), dtype=complex)
         e = wb.mse_matrix(ch.channels[0], u0, v, ch.noise_power, 0)
         assert np.linalg.eigvalsh(e)[0] == pytest.approx(1.0, abs=1e-12)
