@@ -138,7 +138,9 @@ class ChannelSet:
         return self.channels.shape[2]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.channels, dtype=dtype, copy=copy)
+        if copy:
+            return np.array(self.channels, dtype=dtype)
+        return np.asarray(self.channels, dtype=dtype)
 
     def with_noise_power(self, noise_power: float) -> "ChannelSet":
         return ChannelSet(self.channels, noise_power)
@@ -154,7 +156,9 @@ class PrecoderSet:
         object.__setattr__(self, "precoders", _matrix_stack(self.precoders, None, None, "precoders"))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.precoders, dtype=dtype, copy=copy)
+        if copy:
+            return np.array(self.precoders, dtype=dtype)
+        return np.asarray(self.precoders, dtype=dtype)
 
     def total_power(self) -> float:
         """Sum over users of Tr(V_k V_k^H)."""
@@ -171,7 +175,9 @@ class ReceiverSet:
         object.__setattr__(self, "receivers", _matrix_stack(self.receivers, None, None, "receivers"))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.receivers, dtype=dtype, copy=copy)
+        if copy:
+            return np.array(self.receivers, dtype=dtype)
+        return np.asarray(self.receivers, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +207,9 @@ class WeightMatrixSet:
         object.__setattr__(self, "weight_matrices", w)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.weight_matrices, dtype=dtype, copy=copy)
+        if copy:
+            return np.array(self.weight_matrices, dtype=dtype)
+        return np.asarray(self.weight_matrices, dtype=dtype)
 
     @property
     def d(self) -> int:

@@ -284,7 +284,7 @@ def project_sum_power(precoders, p_max: float) -> np.ndarray:
     return scaled
 
 
-def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = _NEWTON_MAX) -> BisectionResult:
+def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
     """Solve V_k = (A + lam I)^{-1} B_k exactly, with lam >= 0 the dual
     variable of the sum-power constraint.
 
@@ -304,8 +304,8 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = _NEWTON
     [p_max (1 - 1e-12), p_max].
 
     The solve stops once the power is within 16 eps of its target or a step
-    no longer moves lam, that is at machine precision.  ``max_iter`` caps the
-    Newton steps; a solve that reaches it returns the feasible end of the
+    no longer moves lam, that is at machine precision.  ``_NEWTON_MAX`` caps
+    the Newton steps; a solve that reaches it returns the feasible end of the
     bracket with ``converged=False``.
     """
     gram = np.asarray(gram, dtype=np.complex128)
@@ -331,7 +331,7 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float, max_iter: int = _NEWTON
     # P(lam) >= ||B||^2 / (s_max + lam)^2, so this start is on the infeasible side.
     lam = min(max(math.sqrt(norm_b2 / target) - float(s[-1]), lo), hi)
     its, converged = 0, False
-    while its < max_iter:
+    while its < _NEWTON_MAX:
         its += 1
         inv = 1.0 / (s + lam)
         terms = weight * inv * inv

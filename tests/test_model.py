@@ -179,6 +179,23 @@ class TestMatrixSets:
             wb.WeightMatrixSet(w, wb.Stage.UNWEIGHTED)
         assert wb.WeightMatrixSet.identity(2, 2).stage_flag is wb.Stage.UNWEIGHTED
 
+    def test_array_protocol(self):
+        # NumPy 1.x calls __array__() or __array__(dtype); NumPy 2.x adds copy.
+        ch = wb.generate_channels(wb.SystemConfig(M=4, N=2, K=2, d=1))
+        v = np.ones((2, 4, 1), dtype=np.complex128)
+        w = np.tile(np.eye(1, dtype=np.complex128), (2, 1, 1))
+        sets = [ch, wb.PrecoderSet(v), wb.ReceiverSet(np.ones((2, 2, 1), dtype=np.complex128)),
+                wb.WeightMatrixSet(w)]
+        for obj in sets:
+            stack = obj.__array__()
+            assert obj.__array__(np.complex128) is stack
+            assert obj.__array__(copy=False) is stack
+            assert np.asarray(obj) is stack
+            copied = obj.__array__(copy=True)
+            assert copied is not stack and copied.tobytes() == stack.tobytes()
+            assert np.array(obj) is not stack
+            assert obj.__array__(np.complex64).dtype == np.complex64
+
     def test_precoder_power(self):
         v = np.zeros((2, 4, 1), dtype=np.complex128)
         v[0, 0, 0] = 3.0

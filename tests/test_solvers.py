@@ -186,8 +186,7 @@ class TestBisectDual:
     def test_scalar_closed_form(self):
         # A = a, B = b, p_max < (b/a)^2:  lam = |b|/sqrt(p_max) - a
         a, b, p_max = 2.0, 3.0, 0.25
-        res = wb.bisect_dual(np.array([[a + 0j]]), np.array([[[b + 0j]]]), p_max,
-                             max_iter=200)
+        res = wb.bisect_dual(np.array([[a + 0j]]), np.array([[[b + 0j]]]), p_max)
         expected = abs(b) / math.sqrt(p_max) - a
         assert res.lam == pytest.approx(expected, abs=1e-9)
         assert total_power(res.precoders) == pytest.approx(p_max, rel=1e-6)
