@@ -110,6 +110,11 @@ def _matrix_stack(arrays, count: int | None, rows_cols: tuple[int, int] | None, 
     return a
 
 
+def _as_array(stack: np.ndarray, dtype, copy) -> np.ndarray:
+    """A set's ``__array__``; NumPy 1.x passes no ``copy`` and rejects ``copy=None``."""
+    return np.array(stack, dtype=dtype) if copy else np.asarray(stack, dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
     """Per-user channel matrices H_k (N x M) plus the common noise power."""
@@ -138,9 +143,7 @@ class ChannelSet:
         return self.channels.shape[2]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy:
-            return np.array(self.channels, dtype=dtype)
-        return np.asarray(self.channels, dtype=dtype)
+        return _as_array(self.channels, dtype, copy)
 
     def with_noise_power(self, noise_power: float) -> "ChannelSet":
         return ChannelSet(self.channels, noise_power)
@@ -156,9 +159,7 @@ class PrecoderSet:
         object.__setattr__(self, "precoders", _matrix_stack(self.precoders, None, None, "precoders"))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy:
-            return np.array(self.precoders, dtype=dtype)
-        return np.asarray(self.precoders, dtype=dtype)
+        return _as_array(self.precoders, dtype, copy)
 
     def total_power(self) -> float:
         """Sum over users of Tr(V_k V_k^H)."""
@@ -175,9 +176,7 @@ class ReceiverSet:
         object.__setattr__(self, "receivers", _matrix_stack(self.receivers, None, None, "receivers"))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy:
-            return np.array(self.receivers, dtype=dtype)
-        return np.asarray(self.receivers, dtype=dtype)
+        return _as_array(self.receivers, dtype, copy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +206,7 @@ class WeightMatrixSet:
         object.__setattr__(self, "weight_matrices", w)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy:
-            return np.array(self.weight_matrices, dtype=dtype)
-        return np.asarray(self.weight_matrices, dtype=dtype)
+        return _as_array(self.weight_matrices, dtype, copy)
 
     @property
     def d(self) -> int:
