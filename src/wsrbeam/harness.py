@@ -89,6 +89,14 @@ class ExperimentSpec:
                     raise ConfigError(f"sweep values for {name} must be positive integers, got {v!r}")
 
 
+def _integer(value) -> int:
+    """An integral JSON number as an int: 16 and 16.0 pass; 16.5, true and "16" do not."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _parse_field(raw: dict, key: str, kind, default=None, required=False):
     if key not in raw:
         if required:
@@ -128,15 +136,15 @@ def parse_experiment(text: str) -> ExperimentSpec:
             raise ConfigError("weights must be a list of positive reals")
         weights = tuple(float(x) for x in weights)
     config = SystemConfig(
-        M=_parse_field(raw, "M", int, required=True),
-        N=_parse_field(raw, "N", int, required=True),
-        K=_parse_field(raw, "K", int, required=True),
-        d=_parse_field(raw, "d", int, required=True),
+        M=_parse_field(raw, "M", _integer, required=True),
+        N=_parse_field(raw, "N", _integer, required=True),
+        K=_parse_field(raw, "K", _integer, required=True),
+        d=_parse_field(raw, "d", _integer, required=True),
         p_max=_parse_field(raw, "p_max", float, default=10.0),
         snr_db=_parse_field(raw, "snr_db", float, required=True),
         weights=weights,
-        channel_seed=_parse_field(raw, "channel_seed", int, default=0),
-        init_seed=_parse_field(raw, "init_seed", int, default=0),
+        channel_seed=_parse_field(raw, "channel_seed", _integer, default=0),
+        init_seed=_parse_field(raw, "init_seed", _integer, default=0),
     )
 
     algorithm = Algorithm.from_name(str(raw.pop("algorithm", "wmmse")))
@@ -170,15 +178,15 @@ def parse_experiment(text: str) -> ExperimentSpec:
         omega=None if omega is None else float(omega),
         eps1=_parse_field(raw, "eps1", float, default=0.1),
         eps2=_parse_field(raw, "eps2", float, default=0.001),
-        max_iters=_parse_field(raw, "max_iters", int, default=1000),
+        max_iters=_parse_field(raw, "max_iters", _integer, default=1000),
     )
 
     return ExperimentSpec(
         base=config,
         solver=solver,
-        n_realizations=_parse_field(raw, "n_realizations", int, default=20),
+        n_realizations=_parse_field(raw, "n_realizations", _integer, default=20),
         sweep=sweep,
-        parallel_workers=_parse_field(raw, "parallel_workers", int, default=0),
+        parallel_workers=_parse_field(raw, "parallel_workers", _integer, default=0),
         output_dir=Path(_parse_field(raw, "output_dir", str, default="out")),
     )
 
@@ -283,36 +291,8 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     return float(arr.mean()), float(arr.std())
 
 
-def _config_dict(config: SystemConfig) -> dict:
-    return {
-        "M": config.M, "N": config.N, "K": config.K, "d": config.d,
-        "p_max": config.p_max, "snr_db": config.snr_db,
-        "weights": list(config.weights),
-        "channel_seed": config.channel_seed, "init_seed": config.init_seed,
-    }
-
-
 def _solver_dict(options: SolverOptions) -> dict:
-    return {
-        "algorithm": options.algorithm.value,
-        "gamma": options.gamma,
-        "omega": options.omega,
-        "eps1": options.eps1,
-        "eps2": options.eps2,
-        "max_iters": options.max_iters,
-    }
-
-
-def _oracle_dict(report: OracleReport) -> dict:
-    return {
-        "name": report.name,
-        "max_abs_error": report.max_abs_error,
-        "max_rel_error": report.max_rel_error,
-        "instances": report.instances,
-        "passed": report.passed,
-        "tolerance": report.tolerance,
-        "detail": report.detail,
-    }
+    return {**dataclasses.asdict(options), "algorithm": options.algorithm.value}
 
 
 @dataclass(frozen=True)
@@ -350,7 +330,7 @@ class RunSummary:
         for p in self.points:
             entry = {
                 "label": p.label,
-                "config": _config_dict(p.config),
+                "config": dataclasses.asdict(p.config),
                 "solver": _solver_dict(p.solver),
                 "n_realizations": p.n_realizations,
                 "n_completed": p.n_completed,
@@ -370,7 +350,7 @@ class RunSummary:
             points.append(entry)
         out = {
             "spec": {
-                "base": _config_dict(self.spec.base),
+                "base": dataclasses.asdict(self.spec.base),
                 "solver": _solver_dict(self.spec.solver),
                 "n_realizations": self.spec.n_realizations,
                 "sweep": [[name, list(values)] for name, values in self.spec.sweep],
@@ -378,7 +358,7 @@ class RunSummary:
                 "output_dir": str(self.spec.output_dir),
             },
             "points": points,
-            "oracles": [_oracle_dict(r) for r in self.oracle_reports],
+            "oracles": [dataclasses.asdict(r) for r in self.oracle_reports],
             "stamps": {
                 "package": "wsrbeam",
                 "version": __version__,
@@ -450,8 +430,6 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     outdir = spec.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     options = spec.solver
-    if verify and not options.record_iterates:
-        options = dataclasses.replace(options, record_iterates=True)
 
     point_summaries: list[PointSummary] = []
     oracle_reports: list[OracleReport] = []

@@ -8,6 +8,12 @@ bits per channel use (nats / ln 2).  Weight matrices must be Hermitian
 positive definite wherever the objective or gradient is evaluated.  Block
 arguments are (K, ., .) stacks: plain ndarrays or the matrix sets of
 :mod:`.model`, read through ``np.asarray``.
+
+The stacked helpers (:func:`flatten_users`, :func:`received`,
+:func:`own_streams`, :func:`interfering`) and :func:`wmmse_objective` also
+take leading batch axes in front of the user axis, e.g. (T, K, ., .) stacks
+of T iterates against one (K, N, M) channel stack.  Each slice of a batched
+result agrees with the unbatched call on that slice to rounding.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, ObjectiveDomainError
 from .linalg import hermitianize, lndet_hpd
@@ -27,9 +32,10 @@ LN2 = math.log(2.0)
 
 
 def flatten_users(stack: np.ndarray) -> np.ndarray:
-    """(K, m, d) stack of per-user blocks -> (m, K*d), user k in columns k*d..k*d+d-1."""
-    k, m, d = stack.shape
-    return np.ascontiguousarray(stack.transpose(1, 0, 2).reshape(m, k * d))
+    """(..., K, m, d) stack of per-user blocks -> (..., m, K*d), user k in
+    columns k*d..k*d+d-1."""
+    *lead, k, m, d = stack.shape
+    return np.ascontiguousarray(np.swapaxes(stack, -3, -2).reshape(*lead, m, k * d))
 
 
 def split_users(flat: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -82,8 +88,10 @@ class ObjectiveSnapshot:
 
 
 def received(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H_k [V_1 ... V_K]: (K, N, Kd) for a channel stack, (N, Kd) for one H_k."""
-    return h @ flatten_users(v)
+    """H_k [V_1 ... V_K]: (..., K, N, Kd) for a channel stack and (..., K, M, d)
+    precoders, (N, Kd) for one H_k and one (K, M, d) precoder set."""
+    flat = flatten_users(v)
+    return h @ (flat if h.ndim == 2 else flat[..., None, :, :])
 
 
 def covariance(hv: np.ndarray, noise_power: float) -> np.ndarray:
@@ -93,16 +101,17 @@ def covariance(hv: np.ndarray, noise_power: float) -> np.ndarray:
 
 
 def own_streams(hv: np.ndarray) -> np.ndarray:
-    """The (K, N, d) own-stream blocks H_k V_k of a :func:`received` stack."""
-    K, n, kd = hv.shape
-    return hv.reshape(K, n, K, kd // K)[np.arange(K), :, np.arange(K)]
+    """The (..., K, N, d) own-stream blocks H_k V_k of a :func:`received` stack."""
+    *lead, K, n, kd = hv.shape
+    k = np.arange(K)
+    return np.swapaxes(hv.reshape(*lead, K, n, K, kd // K), -3, -2)[..., k, k, :, :]
 
 
 def interfering(hv: np.ndarray) -> np.ndarray:
     """``hv`` with its own-stream blocks zeroed.  Its :func:`covariance` is the
     interference-plus-noise covariance, formed directly rather than as
     C_k - H_k V_k V_k^H H_k^H so it stays accurate at high SNR."""
-    K, _, kd = hv.shape
+    K, _, kd = hv.shape[-3:]
     return hv * (1.0 - np.repeat(np.eye(K), kd // K, axis=1))[:, None, :]
 
 
@@ -162,11 +171,12 @@ def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnap
     return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(v))
 
 
-def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, noise_power: float) -> float:
+def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, noise_power: float):
     """Matrix-weighted sum-MSE objective, in one stacked pass.
 
     f = sum_k alpha_k (Tr(W_k E_k) - ln det W_k).  With all W_k = I this is
-    the plain sum-MSE objective.
+    the plain sum-MSE objective.  A float for one (K, ., .) set of blocks; an
+    array over the leading axes for (..., K, ., .) stacks of them.
     """
     u = np.asarray(receivers)
     w = np.asarray(weight_matrices)
@@ -174,12 +184,13 @@ def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, no
     try:
         lndet_w = lndet_hpd(w)
     except np.linalg.LinAlgError as exc:
-        k = int(np.argmin(np.linalg.eigvalsh(w)[:, 0]))
+        k = int(np.argmin(np.linalg.eigvalsh(w)[..., 0])) % w.shape[-3]
         raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
     hv = received(np.asarray(channels), np.asarray(precoders))
     e = mse_matrices(covariance(interfering(hv), noise_power), own_streams(hv), u)
-    trace_we = np.real(np.einsum("kij,kji->k", w, e))
-    return float(alpha @ (trace_we - lndet_w))
+    trace_we = np.real(np.einsum("...kij,...kji->...k", w, e))
+    f = (trace_we - lndet_w) @ alpha
+    return float(f) if f.ndim == 0 else f
 
 
 class PrecoderFactor(NamedTuple):
@@ -213,7 +224,10 @@ def precoder_factor(channels, receivers, weight_matrices, weights) -> PrecoderFa
     w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
     hu = np.conj(np.swapaxes(h, 1, 2)) @ u  # (K, M, d): H_k^H U_k
-    return PrecoderFactor(flatten_users(hu), scipy.linalg.block_diag(*(alpha[:, None, None] * w)))
+    K, d = w.shape[:2]
+    dmat = np.zeros((K, d, K, d), dtype=np.result_type(w, alpha))
+    dmat[np.arange(K), :, np.arange(K)] = alpha[:, None, None] * w
+    return PrecoderFactor(flatten_users(hu), dmat.reshape(K * d, K * d))
 
 
 def weighted_gram(channels, receivers, weight_matrices, weights) -> np.ndarray:

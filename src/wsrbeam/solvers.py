@@ -11,7 +11,14 @@ All three drivers share one loop skeleton per iteration:
      subproblem (one eigendecomposition and a Newton solve for the dual
      variable of the sum-power constraint) or a single projected gradient
      step,
-  5. record the weighted sum rate of the new feasible iterate.
+  5. the weighted sum rate of the new feasible iterate, which the stop test,
+     the switch test and the first-order driver's divergence guard read.
+
+The loop computes only what those decisions need and keeps each iteration's
+blocks (U, W_prev, W, Vhat, V).  The records come after the loop: the
+objective checkpoints of all T trace rows are three stacked
+:func:`~.objective.wmmse_objective` passes over the (T, K, ., .) stacks of
+those blocks, and the blocks become the result's :class:`BlockIterate` records.
 
 No M x M matrix is formed in the iteration loop.  Both precoder updates work
 with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
@@ -19,14 +26,14 @@ the exact update solves its subproblem in the column space of F, of
 dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
 Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
 update and O(M (Kd)^2) for the gradient step.  The receiver update and the
-objective and rate diagnostics cost O(K^2 N M d): all users at once, from the
+weighted sum rate cost O(K^2 N M d): all users at once, from the
 stacked product H_k [V_1 ... V_K] of :mod:`.objective` and batched Cholesky
 solves, with no per-user loop.  For Kd <= M an iteration is linear in M.
 
 The loop works on plain (K, ., .) ndarrays: every block function reads its
 block arguments (arrays or matrix sets) through ``np.asarray``, returns an
-array, and the loop checks that array is finite.  Matrix sets are built only
-for the :class:`SolveResult`.
+array, and the loop checks that array is finite.  The only matrix set the
+solvers build is the result's ``final_precoders``.
 
 Stage switching and termination are driven by relative changes of the
 weighted sum rate over *completed* iterates: the switch test inside
@@ -47,7 +54,7 @@ import numpy as np
 
 from .errors import ConfigError, IllConditionedWeightError, NumericalError, UnstableParametersError
 from .linalg import hermitianize, solve_hpd
-from .model import (
+from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tracing.py patches them here
     ChannelSet,
     PrecoderSet,
     ReceiverSet,
@@ -59,6 +66,7 @@ from .model import (
 )
 from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py patches it here
     BoundsReport,
+    ObjectiveSnapshot,
     compute_bounds,
     covariance,
     flatten_users,
@@ -126,7 +134,6 @@ class SolverOptions:
     eps1: float = 0.1  # stage-switch threshold on relative WSR change
     eps2: float = 0.001  # termination threshold on relative WSR change
     max_iters: int = 1000
-    record_iterates: bool = False  # keep (U, W, V) per iteration for bound scans
 
     def __post_init__(self) -> None:
         if not isinstance(self.algorithm, Algorithm):
@@ -150,8 +157,10 @@ class SolverOptions:
             raise ConfigError(f"eps2 must be positive and finite, got {self.eps2!r}")
         if self.eps2 > self.eps1:
             raise ConfigError(f"eps2 ({self.eps2}) must not exceed eps1 ({self.eps1})")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        m = self.max_iters
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+            raise ConfigError(f"max_iters must be a positive integer, got {m!r}")
+        object.__setattr__(self, "max_iters", int(m))
 
 
 @dataclass(frozen=True)
@@ -175,11 +184,12 @@ class IterationRecord:
 
 
 class BlockIterate(NamedTuple):
-    """Full block variables recorded for bound scans."""
+    """The blocks of one completed iteration, as plain (K, ., .) arrays."""
 
-    receivers: ReceiverSet
-    weight_matrices: WeightMatrixSet
-    precoders: PrecoderSet
+    receivers: np.ndarray  # (K, N, d)
+    weight_matrices: np.ndarray  # (K, d, d), the identity in the unweighted stage
+    precoders: np.ndarray  # (K, M, d)
+    stage: Stage
 
 
 class BisectionResult(NamedTuple):
@@ -197,7 +207,7 @@ class SolveResult:
     converged: bool
     stationarity_residual: float
     switch_iteration: int | None = None  # first weighted iteration of a two-stage run
-    iterates: tuple[BlockIterate, ...] | None = None
+    iterates: tuple[BlockIterate, ...] = ()  # one per trace row
 
 
 def default_step_parameters(snr_db: float) -> tuple[float, float]:
@@ -212,8 +222,9 @@ def default_step_parameters(snr_db: float) -> tuple[float, float]:
 
 
 def resolve_step_parameters(options: SolverOptions, snr_db: float,
-                            bounds: BoundsReport) -> tuple[float, float]:
-    """Concrete (gamma, omega) for one solve."""
+                            bounds: BoundsReport | None) -> tuple[float, float]:
+    """Concrete (gamma, omega) for one solve; ``bounds`` is read only for the
+    ``"safe"`` step."""
     omega_default, gamma_default = default_step_parameters(snr_db)
     omega = omega_default if options.omega is None else options.omega
     if options.gamma is None:
@@ -442,8 +453,10 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
                           f"has (K, N, M) = {(config.K, config.N, config.M)}")
     sigma2 = channels.noise_power
     weights = config.weight_vector
-    bounds = compute_bounds(h, weights, config.p_max, sigma2)
+    bounds = None  # the loop reads them only for the "safe" step
     if options.algorithm is Algorithm.AMMMSE:
+        if options.gamma == GAMMA_SAFE:
+            bounds = compute_bounds(h, weights, config.p_max, sigma2)
         gamma, omega = resolve_step_parameters(options, config.snr_db, bounds)
     else:
         gamma, omega = 0.0, 0.0
@@ -451,12 +464,14 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
     v_curr = project_sum_power(init_precoders(config), config.p_max)
     v_old = v_curr
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
+    eye_w.flags.writeable = False  # every unweighted-stage iterate shares it
     w_prev = eye_w
     weighted = start_weighted  # the stage latch: once weighted, weighted to the end
     switch_iteration: int | None = None
-    wsr_hist: list[float] = []
-    records: list[IterationRecord] = []
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, Stage]] = []
+    rel = math.inf  # relative WSR change of the last completed iteration
+    # Per iteration: the blocks (U, W_prev, W, Vhat, V) and (WSR, rel change, stage).
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    steps: list[tuple[ObjectiveSnapshot, float, Stage]] = []
     running_max = -math.inf
     drop_streak = 0
     converged = False
@@ -468,44 +483,27 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
             v_hat = v_curr
 
         u = _finite(t, "receiver", update_receivers(h, v_hat, sigma2))
-        f_after_u = wmmse_objective(u, w_prev, v_hat, h, weights, sigma2)
 
-        if not weighted:
-            # Switch test: relative WSR change between iterations t-1 and t-2.
-            rel_switch = math.inf if len(wsr_hist) < 2 else _rel_change(wsr_hist[-1], wsr_hist[-2])
-            if rel_switch <= options.eps1:
-                weighted, switch_iteration = True, t
+        # Switch test: ``rel`` is still the change between iterations t-1 and t-2.
+        if not weighted and rel <= options.eps1:
+            weighted, switch_iteration = True, t
         stage = Stage.WEIGHTED if weighted else Stage.UNWEIGHTED
 
         if weighted:
             w = _finite(t, "weight", update_weight_matrices(h, u, v_hat))
         else:
             w = eye_w
-        f_after_w = wmmse_objective(u, w, v_hat, h, weights, sigma2)
 
         if exact:
             v_new = update_precoders_exact(h, u, w, weights, config.p_max)
         else:
             v_new = pgd_precoder_step(v_hat, u, w, h, weights, gamma, config.p_max)
         v_new = _finite(t, "precoder", v_new)
-        f_after_v = wmmse_objective(u, w, v_new, h, weights, sigma2)
 
         snap = weighted_sum_rate(channels, v_new, weights)
-        rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, wsr_hist[-1])
-        wsr_hist.append(snap.wsr_nats)
-        records.append(IterationRecord(
-            t=t,
-            wsr_bits=snap.wsr_bits,
-            f_value=f_after_v,
-            total_power=snap.total_power,
-            stage=stage,
-            f_after_u=f_after_u,
-            f_after_w=f_after_w,
-            f_after_v=f_after_v,
-            rel_change=rel,
-        ))
-        if options.record_iterates:
-            blocks.append((u, w, v_new, stage))
+        rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, steps[-1][0].wsr_nats)
+        blocks.append((u, w_prev, w, v_hat, v_new))
+        steps.append((snap, rel, stage))
 
         if options.algorithm is Algorithm.AMMMSE:
             running_max = max(running_max, snap.wsr_nats)
@@ -524,20 +522,30 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
             converged = True
             break
 
+    if bounds is None:
+        bounds = compute_bounds(h, weights, config.p_max, sigma2)
     residual = _stationarity_residual(
         h, v_curr, weights, sigma2, config.p_max, bounds, eye_w, weighted=weighted)
-    iterates = None
-    if options.record_iterates:
-        iterates = tuple(BlockIterate(ReceiverSet(u), WeightMatrixSet(w, stage), PrecoderSet(v))
-                         for u, w, v, stage in blocks)
+    # The objective checkpoints after each block update of every iteration:
+    # one stacked pass each over the (T, K, ., .) stacks of the iterates.
+    us, w_prevs, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
+    f_after_u = wmmse_objective(us, w_prevs, v_hats, h, weights, sigma2).tolist()
+    f_after_w = wmmse_objective(us, ws, v_hats, h, weights, sigma2).tolist()
+    f_after_v = wmmse_objective(us, ws, vs, h, weights, sigma2).tolist()
+    records = tuple(
+        IterationRecord(t=t, wsr_bits=snap.wsr_bits, f_value=fv, total_power=snap.total_power,
+                        stage=stage, f_after_u=fu, f_after_w=fw, f_after_v=fv, rel_change=rel)
+        for t, ((snap, rel, stage), fu, fw, fv)
+        in enumerate(zip(steps, f_after_u, f_after_w, f_after_v), start=1))
     return SolveResult(
         final_precoders=PrecoderSet(v_curr),
-        trace=tuple(records),
+        trace=records,
         iterations=len(records),
         converged=converged,
         stationarity_residual=residual,
         switch_iteration=switch_iteration,
-        iterates=iterates,
+        iterates=tuple(BlockIterate(u, w, v, stage)
+                       for (u, _, w, _, v), (_, _, stage) in zip(blocks, steps)),
     )
 
 

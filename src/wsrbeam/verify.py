@@ -157,15 +157,14 @@ def check_lemma_bounds(channels: ChannelSet, trace: SolveResult, bounds,
 
     Failures are reported, not raised; ``detail`` names violated families.
     """
-    if trace.iterates is None or len(trace.iterates) == 0:
-        raise ConfigError("solve result carries no recorded iterates; "
-                          "run with record_iterates=True")
+    if not trace.iterates:
+        raise ConfigError("solve result carries no recorded iterates")
     if channels.noise_power is None:
         raise ConfigError("channels carry no noise power")
     sigma2 = channels.noise_power
     h = channels.channels
     K = h.shape[0]
-    d = trace.iterates[0].weight_matrices.d
+    d = np.asarray(trace.iterates[0].weight_matrices).shape[-1]
     limits = {
         "mse_eigenvalue_floor": bounds.ek_floor - 1e-9,
         "receiver_norm": d / sigma2 + 1e-9,
@@ -175,9 +174,9 @@ def check_lemma_bounds(channels: ChannelSet, trace: SolveResult, bounds,
     worst = {name: -math.inf for name in limits}
     alpha = np.ones(K) if weights is None else np.asarray(weights, dtype=np.float64)
     for it in trace.iterates:
-        u = it.receivers.receivers
-        w = it.weight_matrices.weight_matrices
-        v = it.precoders
+        u = np.asarray(it.receivers)
+        w = np.asarray(it.weight_matrices)
+        v = np.asarray(it.precoders)
         factor = np.zeros((h.shape[2], h.shape[2]), dtype=np.complex128)
         for k in range(K):
             e = mse_matrix(h[k], u[k], v, sigma2, k)

@@ -79,7 +79,7 @@ def test_criterion_3_bound_suite():
             for seed in range(10):
                 cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2, snr_db=snr)
                 opts = wb.SolverOptions(algorithm=wb.Algorithm.from_name(algo),
-                                        eps2=1e-3, max_iters=8000, record_iterates=True)
+                                        eps2=1e-3, max_iters=8000)
                 res = wb.solve(ch, cfg, opts)
                 bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
                 rep = wb.check_lemma_bounds(ch, res, bounds, cfg.weight_vector)

@@ -72,6 +72,20 @@ class TestParseExperiment:
         with pytest.raises(ConfigError, match="sweep"):
             wb.parse_experiment(spec_text(sweep={"d": [1, 2]}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 16.7), ("n_realizations", 2.9), ("max_iters", 50.5), ("n_realizations", True),
+        ("channel_seed", 1.5), ("parallel_workers", "2"), ("d", False),
+    ])
+    def test_non_integral_integer_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            wb.parse_experiment(spec_text(**{field: value}))
+
+    def test_integral_floats_accepted_as_int(self):
+        spec = wb.parse_experiment(spec_text(M=16.0, n_realizations=2.0, max_iters=50.0))
+        assert (spec.base.M, spec.n_realizations, spec.solver.max_iters) == (16, 2, 50)
+        assert all(type(x) is int for x in (spec.base.M, spec.n_realizations,
+                                            spec.solver.max_iters))
+
     def test_gamma_safe_sentinel(self):
         spec = wb.parse_experiment(spec_text(algorithm="ammmse", gamma="safe"))
         assert spec.solver.gamma == wb.GAMMA_SAFE

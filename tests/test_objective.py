@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,37 @@ def test_stacked_route_matches_per_user_references(K, d):
                 for k in range(K))
             assert f == pytest.approx(expected, rel=1e-12)
 
+        # A (T, K, ., .) stack of blocks gives one objective per slice.
+        us, ws = np.stack([mmse_u, random_u]), np.stack([mmse_w, random_w])
+        vs = np.stack([v, 0.5 * v])
+        batched = wb.wmmse_objective(us, ws, vs, ch, cfg.weight_vector, ch.noise_power)
+        assert batched.shape == (2,)
+        for t in range(2):
+            single = wb.wmmse_objective(us[t], ws[t], vs[t], ch, cfg.weight_vector, ch.noise_power)
+            assert batched[t] == pytest.approx(single, rel=1e-14, abs=0.0)
+
+
+def test_precoder_factor_block_diagonal():
+    # D = blockdiag(alpha_k W_k), byte for byte what scipy.linalg.block_diag gives.
+    import scipy.linalg
+    rng = np.random.default_rng(12)
+    for K, d in ((1, 1), (3, 2), (5, 3)):
+        cfg, ch = make_system(seed=K, M=8, N=3, K=K, d=d, weights=tuple(rng.uniform(0.5, 2, K)))
+        u = rng.standard_normal((K, 3, d)) + 1j * rng.standard_normal((K, 3, d))
+        w = rng.standard_normal((K, d, d)) + 1j * rng.standard_normal((K, d, d))
+        dmat = wb.objective.precoder_factor(ch, u, w, cfg.weight_vector).dmat
+        expected = scipy.linalg.block_diag(*(cfg.weight_vector[:, None, None] * w))
+        assert dmat.dtype == expected.dtype and dmat.tobytes() == expected.tobytes()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # A fresh `import wsrbeam` pulls in no scipy.linalg (about half of its cost).
+    src = str(Path(wb.__file__).resolve().parents[1])
+    code = "import sys, wsrbeam; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
 
 class TestWmmseObjective:
     def test_identity_weights_give_sum_mse(self, small_system):
@@ -222,6 +257,12 @@ class TestWmmseObjective:
         bad = np.tile(np.diag([1.0, -1.0]).astype(complex), (cfg.K, 1, 1))
         with pytest.raises(ObjectiveDomainError):
             wb.wmmse_objective(u, bad, v, ch, cfg.weight_vector, ch.noise_power)
+        # In a (T, K, d, d) stack the message names the user, not the flat index.
+        stack = np.tile(np.eye(cfg.d, dtype=complex), (2, cfg.K, 1, 1))
+        stack[1, 2] = np.diag([1.0, -1.0])
+        with pytest.raises(ObjectiveDomainError, match="user 2 "):
+            wb.wmmse_objective(np.stack([u, u]), stack, np.stack([v, v]), ch,
+                               cfg.weight_vector, ch.noise_power)
 
 
 class TestGradient:

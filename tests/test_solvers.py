@@ -44,6 +44,15 @@ class TestSolverOptions:
         with pytest.raises(ConfigError):
             wb.SolverOptions(gamma=-0.1)
 
+    @pytest.mark.parametrize("value", [2.5, 0, True, "50"])
+    def test_max_iters_must_be_a_positive_integer(self, value):
+        with pytest.raises(ConfigError, match="max_iters"):
+            wb.SolverOptions(max_iters=value)
+
+    def test_max_iters_accepts_numpy_integers(self):
+        opts = wb.SolverOptions(max_iters=np.int64(50))
+        assert opts.max_iters == 50 and type(opts.max_iters) is int
+
     def test_step_defaults_by_snr(self):
         assert wb.default_step_parameters(10.0) == (0.8, 0.05)
         assert wb.default_step_parameters(20.0) == (0.8, 0.003)
@@ -452,8 +461,7 @@ class TestRunAmmmse:
     def test_iterate_norm_bounds_hold_along_trace(self):
         for seed in range(3):
             cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
-            opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-3,
-                                    max_iters=4000, record_iterates=True)
+            opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-3, max_iters=4000)
             res = wb.run_ammmse(ch, cfg, opts)
             bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
             report = wb.check_lemma_bounds(ch, res, bounds, cfg.weight_vector)
@@ -462,12 +470,11 @@ class TestRunAmmmse:
     def test_every_stored_iterate_feasible(self):
         for seed in range(3):
             cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
-            opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-3,
-                                    max_iters=4000, record_iterates=True)
+            opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-3, max_iters=4000)
             res = wb.run_ammmse(ch, cfg, opts)
             cap = cfg.p_max * (1 + 1e-12)
             assert all(rec.total_power <= cap for rec in res.trace)
-            assert all(it.precoders.total_power() <= cap for it in res.iterates)
+            assert all(total_power(it.precoders) <= cap for it in res.iterates)
 
     def test_stationarity_at_tight_tolerance(self):
         cfg, ch = make_system(seed=1, M=16, N=2, K=4, d=2)
@@ -528,13 +535,46 @@ def test_block_functions_accept_containers_and_arrays(small_system):
 
 def test_recorded_iterates_carry_the_stage_flags():
     cfg, ch = make_system(seed=0, M=8, N=2, K=3, d=2)
-    res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE,
-                                             record_iterates=True))
+    res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE))
     assert res.switch_iteration is not None and len(res.iterates) == res.iterations
+    eye = np.broadcast_to(np.eye(cfg.d), (cfg.K, cfg.d, cfg.d))
     for rec, it in zip(res.trace, res.iterates):
-        assert it.weight_matrices.stage_flag is rec.stage
-        assert it.precoders.total_power() == rec.total_power
-    assert res.iterates[-1].precoders.precoders.tobytes() == res.final_precoders.precoders.tobytes()
+        assert it.stage is rec.stage
+        assert total_power(it.precoders) == rec.total_power
+        if it.stage is wb.Stage.UNWEIGHTED:
+            assert np.array_equal(it.weight_matrices, eye)
+    assert res.iterates[-1].precoders.tobytes() == res.final_precoders.precoders.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
+def test_checkpoints_pair_with_the_returned_iterates(algorithm):
+    # Every row's objective checkpoints, rebuilt one iterate at a time from
+    # the returned blocks: f_after_u at (U_t, W_{t-1}, Vhat_t), f_after_w at
+    # (U_t, W_t, Vhat_t) and f_after_v at (U_t, W_t, V_t), with W_0 = I,
+    # V_0 the projected initial draw and Vhat_t = V_{t-1} except for the
+    # first-order driver's extrapolated point.  An off-by-one in W_{t-1} or
+    # Vhat_t moves a checkpoint by far more than rounding.
+    cfg, ch = make_system(seed=0, M=8, N=2, K=3, d=2)
+    options = wb.SolverOptions(algorithm=algorithm)
+    res = wb.solve(ch, cfg, options)
+    bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
+    _, omega = wb.resolve_step_parameters(options, cfg.snr_db, bounds)
+    alpha, sigma2 = cfg.weight_vector, ch.noise_power
+    v_old = v_prev = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
+    w_prev = np.tile(np.eye(cfg.d, dtype=complex), (cfg.K, 1, 1))
+    assert len(res.iterates) == res.iterations == len(res.trace)
+    for rec, it in zip(res.trace, res.iterates):
+        v_hat = v_prev
+        if algorithm == "ammmse" and rec.t >= 2:
+            v_hat = wb.extrapolate(v_prev, v_old, omega)
+        u, w, v = it.receivers, it.weight_matrices, it.precoders
+        expected = (wb.wmmse_objective(u, w_prev, v_hat, ch, alpha, sigma2),
+                    wb.wmmse_objective(u, w, v_hat, ch, alpha, sigma2),
+                    wb.wmmse_objective(u, w, v, ch, alpha, sigma2))
+        got = (rec.f_after_u, rec.f_after_w, rec.f_after_v)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0), rec.t
+        assert rec.f_value == rec.f_after_v
+        v_old, v_prev, w_prev = v_prev, v, w
 
 
 def _solve_outcome(channels, config, algorithm):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,8 +133,7 @@ class TestSingleUserWaterfilling:
 class TestCheckLemmaBounds:
     def _solved(self, seed=0, algo=wb.Algorithm.WMMSE, **kwargs):
         cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2, **kwargs)
-        opts = wb.SolverOptions(algorithm=algo, eps2=1e-3, max_iters=4000,
-                                record_iterates=True)
+        opts = wb.SolverOptions(algorithm=algo, eps2=1e-3, max_iters=4000)
         res = wb.solve(ch, cfg, opts)
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
         return cfg, ch, res, bounds
@@ -155,11 +155,8 @@ class TestCheckLemmaBounds:
 
     def test_corrupted_weights_fail_with_family_named(self):
         cfg, ch, res, bounds = self._solved(seed=3)
-        bad_iterates = []
-        for it in res.iterates:
-            w = wb.WeightMatrixSet(it.weight_matrices.weight_matrices * 1e6)
-            bad_iterates.append(wb.BlockIterate(it.receivers, w, it.precoders))
-        import dataclasses
+        bad_iterates = [it._replace(weight_matrices=it.weight_matrices * 1e6)
+                        for it in res.iterates]
         corrupted = dataclasses.replace(res, iterates=tuple(bad_iterates))
         report = wb.check_lemma_bounds(ch, corrupted, bounds, cfg.weight_vector)
         assert not report.passed
@@ -167,7 +164,7 @@ class TestCheckLemmaBounds:
 
     def test_requires_recorded_iterates(self, small_system):
         cfg, ch = small_system
-        res = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-3))
+        res = dataclasses.replace(wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-3)), iterates=())
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
         with pytest.raises(ConfigError):
             wb.check_lemma_bounds(ch, res, bounds)
