@@ -51,10 +51,6 @@ from .solvers import (
     extrapolate,
     pgd_precoder_step,
     project_sum_power,
-    resolve_step_parameters,
-    run_ammmse,
-    run_mmmse,
-    run_wmmse,
     solve,
     update_precoders_exact,
     update_receivers,

@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             spec = dataclasses.replace(spec, n_realizations=args.seeds)
         if args.algo is not None:
-            solver = dataclasses.replace(spec.solver, algorithm=Algorithm.from_name(args.algo))
+            solver = dataclasses.replace(spec.solver, algorithm=args.algo)
             spec = dataclasses.replace(spec, solver=solver)
         summary = run_experiment(spec, verify=args.verify)
     except (ConfigError, OSError) as exc:

@@ -31,15 +31,13 @@ from .model import (
     compute_noise_power,
     generate_channels,
     init_precoders,
+    real_value,
 )
 from .objective import compute_bounds, gradient_v, wmmse_objective
 from .solvers import (
-    GAMMA_SAFE,
-    Algorithm,
     IterationRecord,
     SolveResult,
     SolverOptions,
-    default_step_parameters,
     project_sum_power,
     solve,
     update_receivers,
@@ -77,6 +75,9 @@ class ExperimentSpec:
         if self.parallel_workers < 0:
             raise ConfigError("parallel_workers must be nonnegative")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        object.__setattr__(self, "sweep", tuple(
+            (name, tuple(real_value(f"sweep value for {name}", v) for v in values))
+            for name, values in self.sweep))
         for name, values in self.sweep:
             if name not in _SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {name!r}")
@@ -97,12 +98,16 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _parse_field(raw: dict, key: str, kind, default=None, required=False):
+def _parse_field(raw: dict, key: str, kind=None, default=None, required=False):
+    """The value of ``key``, read by ``kind`` if given; without ``kind`` the
+    raw JSON value goes to the dataclass, which validates it."""
     if key not in raw:
         if required:
             raise ConfigError(f"missing required field {key!r}")
         return default
     value = raw.pop(key)
+    if kind is None:
+        return value
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -112,11 +117,11 @@ def _parse_field(raw: dict, key: str, kind, default=None, required=False):
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate a flat-key JSON experiment document.
 
-    Defaults: eps1=0.1, eps2=0.001, p_max=10;
-    for the first-order solver, (omega, gamma) default by SNR from the
-    operating-point table (left unresolved when snr_db is swept, the runner
-    resolves them per sweep point).  Unknown keys and invalid ranges are
-    rejected with the offending field named.
+    Defaults: eps1=0.1, eps2=0.001, p_max=10; for A-MMMSE, unset omega and
+    gamma come from :meth:`SolverOptions.at_snr` (left unset when snr_db is
+    swept: the runner applies it per sweep point).  Unknown keys, values of
+    the wrong type and invalid ranges are rejected with the offending field
+    named.
     """
     try:
         raw = json.loads(text)
@@ -131,55 +136,38 @@ def parse_experiment(text: str) -> ExperimentSpec:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
 
     weights = raw.pop("weights", None)
-    if weights is not None:
-        if not isinstance(weights, (list, tuple)):
-            raise ConfigError("weights must be a list of positive reals")
-        weights = tuple(float(x) for x in weights)
+    if weights is not None and not isinstance(weights, list):
+        raise ConfigError("weights must be a list of positive reals")
     config = SystemConfig(
         M=_parse_field(raw, "M", _integer, required=True),
         N=_parse_field(raw, "N", _integer, required=True),
         K=_parse_field(raw, "K", _integer, required=True),
         d=_parse_field(raw, "d", _integer, required=True),
-        p_max=_parse_field(raw, "p_max", float, default=10.0),
-        snr_db=_parse_field(raw, "snr_db", float, required=True),
+        p_max=_parse_field(raw, "p_max", default=10.0),
+        snr_db=_parse_field(raw, "snr_db", required=True),
         weights=weights,
         channel_seed=_parse_field(raw, "channel_seed", _integer, default=0),
         init_seed=_parse_field(raw, "init_seed", _integer, default=0),
     )
 
-    algorithm = Algorithm.from_name(str(raw.pop("algorithm", "wmmse")))
-    gamma = raw.pop("gamma", None)
-    if isinstance(gamma, str) and gamma != GAMMA_SAFE:
-        raise ConfigError(f"gamma must be a number, {GAMMA_SAFE!r}, or omitted; got {gamma!r}")
-    omega = raw.pop("omega", None)
-
-    sweep_raw = raw.pop("sweep", None)
-    sweep: tuple[tuple[str, tuple[float, ...]], ...] = ()
-    if sweep_raw is not None:
-        if isinstance(sweep_raw, dict):
-            items = list(sweep_raw.items())
-        elif isinstance(sweep_raw, list):
-            items = [(str(name), values) for name, values in sweep_raw]
-        else:
-            raise ConfigError("sweep must map parameter names to value lists")
-        sweep = tuple((name, tuple(float(v) for v in values)) for name, values in items)
-
-    snr_swept = any(name == "snr_db" for name, _ in sweep)
-    if algorithm is Algorithm.AMMMSE and not snr_swept:
-        omega_default, gamma_default = default_step_parameters(config.snr_db)
-        if gamma is None:
-            gamma = gamma_default
-        if omega is None:
-            omega = omega_default
-
     solver = SolverOptions(
-        algorithm=algorithm,
-        gamma=gamma,
-        omega=None if omega is None else float(omega),
-        eps1=_parse_field(raw, "eps1", float, default=0.1),
-        eps2=_parse_field(raw, "eps2", float, default=0.001),
+        algorithm=raw.pop("algorithm", "wmmse"),
+        gamma=raw.pop("gamma", None),
+        omega=raw.pop("omega", None),
+        eps1=_parse_field(raw, "eps1", default=0.1),
+        eps2=_parse_field(raw, "eps2", default=0.001),
         max_iters=_parse_field(raw, "max_iters", _integer, default=1000),
     )
+
+    sweep_raw = raw.pop("sweep", None)
+    items = list(sweep_raw.items()) if isinstance(sweep_raw, dict) else sweep_raw
+    if items is not None and not (isinstance(items, list) and all(
+            isinstance(item, (list, tuple)) and len(item) == 2 and isinstance(item[1], list)
+            for item in items)):
+        raise ConfigError("sweep must map parameter names to value lists")
+    sweep = tuple((str(name), tuple(values)) for name, values in items or ())
+    if "snr_db" not in dict(sweep):
+        solver = solver.at_snr(config.snr_db)
 
     return ExperimentSpec(
         base=config,
@@ -325,10 +313,9 @@ class RunSummary:
     points: tuple[PointSummary, ...]
     oracle_reports: tuple[OracleReport, ...]
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        points = []
-        for p in self.points:
-            entry = {
+    def to_json_dict(self) -> dict:
+        points = [
+            {
                 "label": p.label,
                 "config": dataclasses.asdict(p.config),
                 "solver": _solver_dict(p.solver),
@@ -344,11 +331,9 @@ class RunSummary:
                 "stationarity_residual_max": p.stationarity_residual_max,
                 "failures": list(p.failures),
             }
-            if include_timing:
-                entry["wall_time_mean_s"] = p.wall_time_mean
-                entry["wall_time_std_s"] = p.wall_time_std
-            points.append(entry)
-        out = {
+            for p in self.points
+        ]
+        return {
             "spec": {
                 "base": dataclasses.asdict(self.spec.base),
                 "solver": _solver_dict(self.spec.solver),
@@ -368,7 +353,6 @@ class RunSummary:
                 "rng": RNG_ALGORITHM,
             },
         }
-        return out
 
 
 def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
@@ -434,14 +418,7 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     point_summaries: list[PointSummary] = []
     oracle_reports: list[OracleReport] = []
     for label, point_cfg in _sweep_points(spec):
-        point_options = options
-        if options.algorithm is Algorithm.AMMMSE and (options.gamma is None or options.omega is None):
-            omega_default, gamma_default = default_step_parameters(point_cfg.snr_db)
-            point_options = dataclasses.replace(
-                options,
-                gamma=gamma_default if options.gamma is None else options.gamma,
-                omega=omega_default if options.omega is None else options.omega,
-            )
+        point_options = options.at_snr(point_cfg.snr_db)
         jobs = []
         for r in range(spec.n_realizations):
             cfg_r = dataclasses.replace(
@@ -520,7 +497,7 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     summary = RunSummary(spec=spec, points=tuple(point_summaries),
                          oracle_reports=tuple(oracle_reports))
     (outdir / "summary.json").write_text(
-        json.dumps(summary.to_json_dict(include_timing=False), indent=2, sort_keys=True) + "\n")
+        json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n")
     timing = {
         "note": "wall-clock statistics are non-normative and excluded from the "
                 "reproducibility contract",

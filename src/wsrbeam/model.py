@@ -12,6 +12,7 @@ realization is held fixed across algorithm comparisons.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,14 @@ _INIT_STREAM = 0x1417C0DE
 
 HERMITIAN_TOL = 1e-10
 POWER_SLACK = 1e-12
+
+
+def real_value(name: str, value) -> float:
+    """``value`` as a float if it is a real number; a ConfigError naming
+    ``name`` for a boolean or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -65,16 +74,18 @@ class SystemConfig:
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))
-        if not (isinstance(self.p_max, (int, float)) and math.isfinite(self.p_max) and self.p_max > 0):
+        p_max = real_value("p_max", self.p_max)
+        if not (math.isfinite(p_max) and p_max > 0):
             raise ConfigError(f"p_max must be a positive real, got {self.p_max!r}")
-        object.__setattr__(self, "p_max", float(self.p_max))
-        if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
+        object.__setattr__(self, "p_max", p_max)
+        snr_db = real_value("snr_db", self.snr_db)
+        if not math.isfinite(snr_db):
             raise ConfigError(f"snr_db must be a finite real, got {self.snr_db!r}")
-        object.__setattr__(self, "snr_db", float(self.snr_db))
+        object.__setattr__(self, "snr_db", snr_db)
         w = self.weights
         if w is None:
             w = (1.0,) * self.K
-        w = tuple(float(x) for x in w)
+        w = tuple(real_value("weights", x) for x in w)
         if len(w) != self.K:
             raise ConfigError(f"weights must have length K={self.K}, got {len(w)}")
         if any(not (math.isfinite(x) and x > 0) for x in w):

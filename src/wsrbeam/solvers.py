@@ -1,9 +1,13 @@
-"""Block updates, sum-power projection, the exact dual solve, and the three
-iterative precoder-design drivers.
+"""Block updates, sum-power projection, the exact dual solve, and
+:func:`solve`, the one block-coordinate loop of all three algorithms.
 
-All three drivers share one loop skeleton per iteration:
+WMMSE, MMMSE and A-MMMSE differ only in where the weights start and in the
+precoder step, and ``options.algorithm`` decides both: WMMSE updates the
+weights from the first iteration, the other two start in the unweighted
+stage; A-MMMSE takes one gradient step from an extrapolated point, the other
+two the exact update.  Each iteration of the loop runs:
 
-  1. extrapolate the precoders (first-order driver only),
+  1. extrapolate the precoders (A-MMMSE, from the second iteration on),
   2. MMSE receive-filter update,
   3. weight-matrix update -- pinned to identity during the unweighted
      warm-start stage, standard update once the stage latch has fired,
@@ -12,7 +16,7 @@ All three drivers share one loop skeleton per iteration:
      variable of the sum-power constraint) or a single projected gradient
      step,
   5. the weighted sum rate of the new feasible iterate, which the stop test,
-     the switch test and the first-order driver's divergence guard read.
+     the switch test and A-MMMSE's divergence guard read.
 
 The loop computes only what those decisions need and keeps each iteration's
 blocks (U, W_prev, W, Vhat, V).  The records come after the loop: the
@@ -46,7 +50,7 @@ to at least one weighted iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -62,6 +66,7 @@ from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tr
     SystemConfig,
     WeightMatrixSet,
     init_precoders,
+    real_value,
     total_power,
 )
 from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py patches it here
@@ -82,8 +87,8 @@ from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py pa
 #: Sentinel for SolverOptions.gamma selecting the provably-descending step.
 GAMMA_SAFE = "safe"
 
-#: (omega, gamma) operating points for the first-order driver, keyed by SNR
-#: in dB.  Used whenever the options leave omega/gamma unset.
+#: (omega, gamma) operating points for A-MMMSE, keyed by SNR in dB.  Used,
+#: through SolverOptions.at_snr, whenever the options leave omega/gamma unset.
 STEP_DEFAULTS_BY_SNR: dict[float, tuple[float, float]] = {
     -10.0: (0.6, 0.4),
     -5.0: (0.6, 0.4),
@@ -125,7 +130,8 @@ class SolverOptions:
     ``gamma`` may be a positive number, the string ``"safe"`` (use the
     provably-descending step from the bounds report), or None (use the
     SNR-keyed default table).  ``omega`` may be a number in [0, 1) or None
-    (default table).  Both are only consulted by the first-order driver.
+    (default table).  Both are only consulted by A-MMMSE.  Real fields reject
+    booleans and non-numbers with a ConfigError naming the field.
     """
 
     algorithm: Algorithm = Algorithm.WMMSE
@@ -142,15 +148,17 @@ class SolverOptions:
             if self.gamma != GAMMA_SAFE:
                 raise ConfigError(f"gamma must be positive, {GAMMA_SAFE!r}, or None; got {self.gamma!r}")
         elif self.gamma is not None:
-            g = float(self.gamma)
+            g = real_value("gamma", self.gamma)
             if not (math.isfinite(g) and g > 0):
                 raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
             object.__setattr__(self, "gamma", g)
         if self.omega is not None:
-            om = float(self.omega)
+            om = real_value("omega", self.omega)
             if not (0.0 <= om < 1.0):
                 raise ConfigError(f"omega must lie in [0, 1), got {self.omega!r}")
             object.__setattr__(self, "omega", om)
+        for name in ("eps1", "eps2"):
+            object.__setattr__(self, name, real_value(name, getattr(self, name)))
         if not (self.eps1 > 0):
             raise ConfigError(f"eps1 must be positive, got {self.eps1!r}")
         if not (self.eps2 > 0 and math.isfinite(self.eps2)):
@@ -161,6 +169,15 @@ class SolverOptions:
         if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
             raise ConfigError(f"max_iters must be a positive integer, got {m!r}")
         object.__setattr__(self, "max_iters", int(m))
+
+    def at_snr(self, snr_db: float) -> "SolverOptions":
+        """These options with A-MMMSE's unset gamma and omega taken from the
+        SNR-keyed table; every other options object is returned unchanged."""
+        if self.algorithm is not Algorithm.AMMMSE or None not in (self.gamma, self.omega):
+            return self
+        omega, gamma = default_step_parameters(snr_db)
+        return replace(self, gamma=gamma if self.gamma is None else self.gamma,
+                       omega=omega if self.omega is None else self.omega)
 
 
 @dataclass(frozen=True)
@@ -211,7 +228,7 @@ class SolveResult:
 
 
 def default_step_parameters(snr_db: float) -> tuple[float, float]:
-    """(omega, gamma) for the first-order driver at the given SNR.
+    """(omega, gamma) for A-MMMSE at the given SNR.
 
     Exact table match when available, otherwise the nearest tabulated SNR
     (ties resolve toward the higher SNR).
@@ -219,21 +236,6 @@ def default_step_parameters(snr_db: float) -> tuple[float, float]:
     snr = float(snr_db)
     key = min(STEP_DEFAULTS_BY_SNR, key=lambda s: (abs(s - snr), -s))
     return STEP_DEFAULTS_BY_SNR[key]
-
-
-def resolve_step_parameters(options: SolverOptions, snr_db: float,
-                            bounds: BoundsReport | None) -> tuple[float, float]:
-    """Concrete (gamma, omega) for one solve; ``bounds`` is read only for the
-    ``"safe"`` step."""
-    omega_default, gamma_default = default_step_parameters(snr_db)
-    omega = omega_default if options.omega is None else options.omega
-    if options.gamma is None:
-        gamma = gamma_default
-    elif options.gamma == GAMMA_SAFE:
-        gamma = bounds.gamma_safe
-    else:
-        gamma = float(options.gamma)
-    return gamma, omega
 
 
 def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
@@ -443,8 +445,13 @@ def _finite(t: int, block: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions, *,
-             exact: bool, use_extrapolation: bool, start_weighted: bool) -> SolveResult:
+def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
+    """Solve with ``options.algorithm``; A-MMMSE's unset step parameters come
+    from :meth:`SolverOptions.at_snr` at the config's SNR.
+
+    A-MMMSE raises :class:`UnstableParametersError` when the WSR stays below
+    half its running maximum for five consecutive iterations.
+    """
     if channels.noise_power is None:
         raise ConfigError("channels carry no noise power; call compute_noise_power first")
     h = np.asarray(channels)
@@ -453,20 +460,20 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
                           f"has (K, N, M) = {(config.K, config.N, config.M)}")
     sigma2 = channels.noise_power
     weights = config.weight_vector
+    first_order = options.algorithm is Algorithm.AMMMSE
+    options = options.at_snr(config.snr_db)
+    gamma, omega = (options.gamma, options.omega) if first_order else (0.0, 0.0)
     bounds = None  # the loop reads them only for the "safe" step
-    if options.algorithm is Algorithm.AMMMSE:
-        if options.gamma == GAMMA_SAFE:
-            bounds = compute_bounds(h, weights, config.p_max, sigma2)
-        gamma, omega = resolve_step_parameters(options, config.snr_db, bounds)
-    else:
-        gamma, omega = 0.0, 0.0
+    if gamma == GAMMA_SAFE:
+        bounds = compute_bounds(h, weights, config.p_max, sigma2)
+        gamma = bounds.gamma_safe
 
     v_curr = project_sum_power(init_precoders(config), config.p_max)
     v_old = v_curr
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
     eye_w.flags.writeable = False  # every unweighted-stage iterate shares it
     w_prev = eye_w
-    weighted = start_weighted  # the stage latch: once weighted, weighted to the end
+    weighted = options.algorithm is Algorithm.WMMSE  # the stage latch: once set, to the end
     switch_iteration: int | None = None
     rel = math.inf  # relative WSR change of the last completed iteration
     # Per iteration: the blocks (U, W_prev, W, Vhat, V) and (WSR, rel change, stage).
@@ -477,7 +484,7 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
     converged = False
 
     for t in range(1, options.max_iters + 1):
-        if use_extrapolation and t >= 2 and omega > 0.0:
+        if t >= 2 and omega > 0.0:
             v_hat = _finite(t, "extrapolation", extrapolate(v_curr, v_old, omega))
         else:
             v_hat = v_curr
@@ -494,10 +501,10 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
         else:
             w = eye_w
 
-        if exact:
-            v_new = update_precoders_exact(h, u, w, weights, config.p_max)
-        else:
+        if first_order:
             v_new = pgd_precoder_step(v_hat, u, w, h, weights, gamma, config.p_max)
+        else:
+            v_new = update_precoders_exact(h, u, w, weights, config.p_max)
         v_new = _finite(t, "precoder", v_new)
 
         snap = weighted_sum_rate(channels, v_new, weights)
@@ -505,7 +512,7 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
         blocks.append((u, w_prev, w, v_hat, v_new))
         steps.append((snap, rel, stage))
 
-        if options.algorithm is Algorithm.AMMMSE:
+        if first_order:
             running_max = max(running_max, snap.wsr_nats)
             if snap.wsr_nats < 0.5 * running_max:
                 drop_streak += 1
@@ -548,46 +555,3 @@ def _run_bcd(channels: ChannelSet, config: SystemConfig, options: SolverOptions,
                        for (u, _, w, _, v), (_, _, stage) in zip(blocks, steps)),
     )
 
-
-def run_wmmse(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
-    """Exact block-coordinate solver: MMSE receivers, standard weight update,
-    precoders by the exact dual solve; stops on the relative WSR change."""
-    if options.algorithm is not Algorithm.WMMSE:
-        raise ConfigError("options.algorithm must be WMMSE")
-    return _run_bcd(channels, config, options, exact=True, use_extrapolation=False,
-                    start_weighted=True)
-
-
-def run_mmmse(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
-    """Two-stage warm-started solver: identity weights (plain sum-MSE
-    minimization) until the relative WSR change first drops below eps1, then
-    the standard weighted updates until eps2."""
-    if options.algorithm is not Algorithm.MMMSE:
-        raise ConfigError("options.algorithm must be MMMSE")
-    return _run_bcd(channels, config, options, exact=True, use_extrapolation=False,
-                    start_weighted=False)
-
-
-def run_ammmse(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
-    """Two-stage warm-started solver with the exact precoder update replaced
-    by one projected gradient step from an extrapolated point.
-
-    Flags divergence (an unstable gamma/omega pair) when the WSR stays below
-    half its running maximum for five consecutive iterations.
-    """
-    if options.algorithm is not Algorithm.AMMMSE:
-        raise ConfigError("options.algorithm must be AMMMSE")
-    return _run_bcd(channels, config, options, exact=False, use_extrapolation=True,
-                    start_weighted=False)
-
-
-_DRIVERS = {
-    Algorithm.WMMSE: run_wmmse,
-    Algorithm.MMMSE: run_mmmse,
-    Algorithm.AMMMSE: run_ammmse,
-}
-
-
-def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
-    """Dispatch to the driver selected by ``options.algorithm``."""
-    return _DRIVERS[options.algorithm](channels, config, options)

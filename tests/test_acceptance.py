@@ -57,7 +57,7 @@ def test_criterion_2_monotone_descent():
         cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=wb.GAMMA_SAFE,
                                 omega=0.0, eps1=math.inf, eps2=1e-3, max_iters=3000)
-        res = wb.run_ammmse(ch, cfg, opts)
+        res = wb.solve(ch, cfg, opts)
         f_prev = math.inf
         for rec in res.trace:
             worst_rise = max(worst_rise, rec.f_value - f_prev)
@@ -202,7 +202,7 @@ def test_criterion_7_single_user_optimality():
     for seed in range(10):
         cfg, ch = make_system(seed=seed, M=4, N=4, K=1, d=4)
         opts = wb.SolverOptions(eps2=1e-8, max_iters=4000)
-        res = wb.run_wmmse(ch, cfg, opts)
+        res = wb.solve(ch, cfg, opts)
         final_nats = res.trace[-1].wsr_bits * math.log(2)
         wf_rate, _ = wb.single_user_waterfilling(ch.channels[0], cfg.p_max,
                                                  ch.noise_power, d=cfg.d)
@@ -232,7 +232,7 @@ def test_criterion_9_stationarity():
         cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=wb.GAMMA_SAFE,
                                 omega=0.0, eps2=1e-6, max_iters=5000)
-        res = wb.run_ammmse(ch, cfg, opts)
+        res = wb.solve(ch, cfg, opts)
         worst = max(worst, res.stationarity_residual)
     ok = worst <= 1e-3
     assert report(9, "stationarity", ok, f"worst exit residual {worst:.2e}")
@@ -252,7 +252,7 @@ def test_criterion_10_determinism_round_trip(tmp_path):
     identical = all((tmp_path / "out" / n).read_bytes() == first[n] for n in names)
 
     cfg, ch = make_system(seed=0, M=16, N=2, K=4, d=2)
-    res = wb.run_mmmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
+    res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
     wb.emit_trace(res, tmp_path / "trace.csv")
     round_trip = wb.read_trace(tmp_path / "trace.csv") == res.trace
 

@@ -91,12 +91,33 @@ class TestParseExperiment:
         assert spec.solver.gamma == wb.GAMMA_SAFE
 
 
+# Spec values of the wrong type: each is a ConfigError naming the field, which
+# `wsrbeam run` reports with exit 2, instead of a traceback or a silent
+# reading as something else (true as 1.0, "0.5" as 0.5).
+@pytest.mark.parametrize("field, value", [
+    ("omega", "abc"), ("gamma", [1]), ("gamma", True), ("gamma", "fast"),
+    ("weights", ["a", 1, 1]), ("snr_db", True), ("p_max", True), ("eps1", "0.5"),
+    ("sweep", {"K": 4}), ("sweep", {"snr_db": ["x"]}), ("sweep", [["K"]]),
+])
+def test_wrongly_typed_value_named(field, value):
+    with pytest.raises(ConfigError, match=field):
+        wb.parse_experiment(spec_text(algorithm="ammmse", **{field: value}))
+
+
+def test_cli_exits_2_on_wrongly_typed_value(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(spec_text(algorithm="ammmse", omega="abc"))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "omega" in err
+
+
 class TestEmitAndReadTrace:
     def _result(self):
         cfg = wb.SystemConfig(**{k: v for k, v in MINIMAL.items()})
         ch = wb.generate_channels(cfg)
         ch = ch.with_noise_power(wb.compute_noise_power(ch, cfg.snr_db, cfg))
-        return wb.run_mmmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
+        return wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
 
     def test_row_count_and_header(self, tmp_path):
         res = self._result()

@@ -27,6 +27,10 @@ class TestSystemConfig:
         dict(M=4, N=2, K=2, d=1, weights=(1.0, 0.0)),
         dict(M=4, N=2, K=2, d=1, channel_seed=-1),
         dict(M=4, N=2, K=2, d=1, snr_db=math.inf),
+        dict(M=4, N=2, K=2, d=1, p_max=True),
+        dict(M=4, N=2, K=2, d=1, snr_db="10"),
+        dict(M=4, N=2, K=2, d=1, weights=("a", 1.0)),
+        dict(M=4, N=2, K=2, d=1, weights=(1.0, False)),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):

@@ -115,7 +115,7 @@ def test_single_user_wmmse_converges_at_tight_tolerance():
     # eps2 instead of running to max_iters.
     for seed in range(10):
         cfg, ch = make_system(seed=seed, M=4, N=4, K=1, d=4)
-        res = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-8, max_iters=4000))
+        res = wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-8, max_iters=4000))
         assert res.converged, f"seed {seed} ran {res.iterations} iterations"
         wf_rate, _ = wb.single_user_waterfilling(ch.channels[0], cfg.p_max, ch.noise_power,
                                                  d=cfg.d)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,9 +50,34 @@ class TestSolverOptions:
         with pytest.raises(ConfigError, match="max_iters"):
             wb.SolverOptions(max_iters=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", True), ("gamma", [1]), ("omega", "abc"), ("omega", False),
+        ("eps1", "0.5"), ("eps2", True),
+    ])
+    def test_real_fields_reject_non_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            wb.SolverOptions(**{field: value})
+
     def test_max_iters_accepts_numpy_integers(self):
         opts = wb.SolverOptions(max_iters=np.int64(50))
         assert opts.max_iters == 50 and type(opts.max_iters) is int
+
+    @pytest.mark.parametrize("options", [
+        wb.SolverOptions(),
+        wb.SolverOptions(algorithm="mmmse", gamma=0.3),
+        wb.SolverOptions(algorithm="ammmse", gamma=0.2, omega=0.5),
+        wb.SolverOptions(algorithm="ammmse", gamma=wb.GAMMA_SAFE, omega=0.0),
+    ])
+    def test_at_snr_leaves_set_or_unused_steps_alone(self, options):
+        assert options.at_snr(20.0) is options
+
+    def test_at_snr_fills_only_the_unset_field(self):
+        half = wb.SolverOptions(algorithm="ammmse", gamma=0.2).at_snr(20.0)
+        assert (half.omega, half.gamma) == (0.8, 0.2)
+        half = wb.SolverOptions(algorithm="ammmse", omega=0.3).at_snr(20.0)
+        assert (half.omega, half.gamma) == (0.3, 0.003)
+        safe = wb.SolverOptions(algorithm="ammmse", gamma=wb.GAMMA_SAFE).at_snr(0.0)
+        assert (safe.omega, safe.gamma) == (0.6, wb.GAMMA_SAFE)
 
     def test_step_defaults_by_snr(self):
         assert wb.default_step_parameters(10.0) == (0.8, 0.05)
@@ -340,7 +366,7 @@ class TestRunWmmse:
     def test_wsr_nondecreasing(self):
         for seed in range(4):
             cfg, ch = make_system(seed=seed, M=8, N=2, K=4, d=2)
-            res = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-4, max_iters=200))
+            res = wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-4, max_iters=200))
             wsr = [r.wsr_bits for r in res.trace]
             for a, b in zip(wsr, wsr[1:]):
                 assert b >= a - 1e-8
@@ -348,38 +374,33 @@ class TestRunWmmse:
     def test_deterministic_traces(self, small_system):
         cfg, ch = small_system
         opts = wb.SolverOptions(eps2=1e-4)
-        r1 = wb.run_wmmse(ch, cfg, opts)
-        r2 = wb.run_wmmse(ch, cfg, opts)
+        r1 = wb.solve(ch, cfg, opts)
+        r2 = wb.solve(ch, cfg, opts)
         assert r1.trace == r2.trace
         assert r1.final_precoders.precoders.tobytes() == r2.final_precoders.precoders.tobytes()
 
     def test_descent_chain_per_iteration(self):
         for seed in range(3):
             cfg, ch = make_system(seed=seed, M=8, N=2, K=3, d=2)
-            res = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-4))
+            res = wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-4))
             for rec in res.trace:
                 assert rec.f_after_u >= rec.f_after_w - 1e-9
                 assert rec.f_after_w >= rec.f_after_v - 1e-9
 
     def test_feasible_along_trace(self, small_system):
         cfg, ch = small_system
-        res = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-4))
+        res = wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-4))
         for rec in res.trace:
             assert rec.total_power <= cfg.p_max * (1 + 1e-12)
         assert res.final_precoders.total_power() <= cfg.p_max * (1 + 1e-12)
-
-    def test_wrong_algorithm_rejected(self, small_system):
-        cfg, ch = small_system
-        with pytest.raises(ConfigError):
-            wb.run_wmmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE))
 
 
 class TestRunMmmse:
     def test_infinite_eps1_equals_wmmse(self, small_system):
         cfg, ch = small_system
-        res_m = wb.run_mmmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE,
-                                                       eps1=math.inf, eps2=1e-4))
-        res_w = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-4))
+        res_m = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE,
+                                                   eps1=math.inf, eps2=1e-4))
+        res_w = wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-4))
         assert res_m.trace == res_w.trace
         np.testing.assert_array_equal(res_m.final_precoders.precoders,
                                       res_w.final_precoders.precoders)
@@ -389,8 +410,8 @@ class TestRunMmmse:
         for seed in range(4):
             cfg, ch = make_system(seed=seed, M=8, N=2, K=4, d=2)
             eps = 1e-3
-            res = wb.run_mmmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE,
-                                                         eps1=eps, eps2=eps, max_iters=500))
+            res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE,
+                                                     eps1=eps, eps2=eps, max_iters=500))
             stages = [rec.stage for rec in res.trace]
             assert res.switch_iteration is not None
             # the stage flips exactly once the eps1 test first passes...
@@ -403,7 +424,7 @@ class TestRunMmmse:
 
     def test_stage_latched_and_recorded(self, small_system):
         cfg, ch = small_system
-        res = wb.run_mmmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
+        res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
         values = [rec.stage.value for rec in res.trace]
         assert values == sorted(values)  # never flips back under the latch
 
@@ -416,7 +437,7 @@ class TestRunAmmmse:
             cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
             opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=wb.GAMMA_SAFE,
                                     omega=0.0, eps1=math.inf, eps2=1e-3, max_iters=2000)
-            res = wb.run_ammmse(ch, cfg, opts)
+            res = wb.solve(ch, cfg, opts)
             f_prev = math.inf
             for rec in res.trace:
                 assert rec.f_after_u >= rec.f_after_w - 1e-9
@@ -428,22 +449,23 @@ class TestRunAmmmse:
         devs = []
         for seed in range(5):
             cfg, ch = make_system(seed=seed, M=32, N=2, K=8, d=2)
-            w = wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-3, max_iters=2000))
-            a = wb.run_ammmse(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE,
-                                                        eps2=1e-3, max_iters=4000))
+            w = wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-3, max_iters=2000))
+            a = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE,
+                                                   eps2=1e-3, max_iters=4000))
             devs.append(abs(a.trace[-1].wsr_bits - w.trace[-1].wsr_bits) / w.trace[-1].wsr_bits)
         assert np.mean(devs) < 0.02
 
     def test_table_defaults_resolved(self, small_system):
+        opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE).at_snr(10.0)
+        assert (opts.omega, opts.gamma) == (0.8, 0.05)
+        safe = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=wb.GAMMA_SAFE,
+                                omega=0.2, max_iters=20)
+        assert safe.at_snr(10.0) == safe
+        # the solver swaps "safe" for the bounds report's gamma_safe
         cfg, ch = small_system
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
-        gamma, omega = wb.resolve_step_parameters(
-            wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE), 10.0, bounds)
-        assert (omega, gamma) == (0.8, 0.05)
-        gamma, omega = wb.resolve_step_parameters(
-            wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=wb.GAMMA_SAFE, omega=0.2),
-            10.0, bounds)
-        assert gamma == bounds.gamma_safe and omega == 0.2
+        numeric = dataclasses.replace(safe, gamma=bounds.gamma_safe)
+        assert wb.solve(ch, cfg, safe).trace == wb.solve(ch, cfg, numeric).trace
 
     def test_divergence_flagged(self):
         # Two users on the same channel at high SNR with an absurd step:
@@ -456,13 +478,13 @@ class TestRunAmmmse:
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=1000.0, omega=0.9,
                                 eps1=1e-8, eps2=1e-10, max_iters=300)
         with pytest.raises(UnstableParametersError, match="gamma"):
-            wb.run_ammmse(ch, cfg, opts)
+            wb.solve(ch, cfg, opts)
 
     def test_iterate_norm_bounds_hold_along_trace(self):
         for seed in range(3):
             cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
             opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-3, max_iters=4000)
-            res = wb.run_ammmse(ch, cfg, opts)
+            res = wb.solve(ch, cfg, opts)
             bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
             report = wb.check_lemma_bounds(ch, res, bounds, cfg.weight_vector)
             assert report.passed, report.detail
@@ -471,7 +493,7 @@ class TestRunAmmmse:
         for seed in range(3):
             cfg, ch = make_system(seed=seed, M=16, N=2, K=4, d=2)
             opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-3, max_iters=4000)
-            res = wb.run_ammmse(ch, cfg, opts)
+            res = wb.solve(ch, cfg, opts)
             cap = cfg.p_max * (1 + 1e-12)
             assert all(rec.total_power <= cap for rec in res.trace)
             assert all(total_power(it.precoders) <= cap for it in res.iterates)
@@ -480,7 +502,7 @@ class TestRunAmmmse:
         cfg, ch = make_system(seed=1, M=16, N=2, K=4, d=2)
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=wb.GAMMA_SAFE,
                                 omega=0.0, eps2=1e-6, max_iters=5000)
-        res = wb.run_ammmse(ch, cfg, opts)
+        res = wb.solve(ch, cfg, opts)
         assert res.converged
         assert res.stationarity_residual <= 1e-3
 
@@ -557,8 +579,7 @@ def test_checkpoints_pair_with_the_returned_iterates(algorithm):
     cfg, ch = make_system(seed=0, M=8, N=2, K=3, d=2)
     options = wb.SolverOptions(algorithm=algorithm)
     res = wb.solve(ch, cfg, options)
-    bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
-    _, omega = wb.resolve_step_parameters(options, cfg.snr_db, bounds)
+    omega = options.at_snr(cfg.snr_db).omega
     alpha, sigma2 = cfg.weight_vector, ch.noise_power
     v_old = v_prev = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
     w_prev = np.tile(np.eye(cfg.d, dtype=complex), (cfg.K, 1, 1))

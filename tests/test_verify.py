@@ -164,7 +164,7 @@ class TestCheckLemmaBounds:
 
     def test_requires_recorded_iterates(self, small_system):
         cfg, ch = small_system
-        res = dataclasses.replace(wb.run_wmmse(ch, cfg, wb.SolverOptions(eps2=1e-3)), iterates=())
+        res = dataclasses.replace(wb.solve(ch, cfg, wb.SolverOptions(eps2=1e-3)), iterates=())
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
         with pytest.raises(ConfigError):
             wb.check_lemma_bounds(ch, res, bounds)
