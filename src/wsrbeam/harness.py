@@ -54,7 +54,8 @@ _SOLVER_KEYS = {"algorithm", "gamma", "omega", "eps1", "eps2", "max_iters"}
 _SPEC_KEYS = {"n_realizations", "sweep", "parallel_workers", "output_dir"}
 
 # Coordinate budget above which the finite-difference oracle is skipped in
-# --verify runs (cost grows as 4 * K * M * d objective evaluations).
+# --verify runs: it evaluates the objective at 4 * K * M * d points, up to
+# verify._FD_CHUNK of them per stacked call.
 _FD_COORD_BUDGET = 1024
 
 
@@ -257,9 +258,10 @@ def _solve_one(args):
     """One realization: generate channels, derive noise power, solve.
 
     Module-level so it can cross a process pool; returns (index, result,
-    wall seconds, error message or None).
+    wall seconds of the solve alone, error message or None).  The result
+    keeps its iterates only when ``verify`` asks for the bound scan.
     """
-    index, config, options = args
+    index, config, options, verify = args
     try:
         channels = generate_channels(config)
         sigma2 = compute_noise_power(channels, config.snr_db, config)
@@ -267,6 +269,8 @@ def _solve_one(args):
         start = time.perf_counter()
         result = solve(channels, config, options)
         wall = time.perf_counter() - start
+        if not verify:
+            result = dataclasses.replace(result, iterates=())
         return index, result, wall, None
     except (WsrbeamError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
         return index, None, 0.0, f"{type(exc).__name__}: {exc}"
@@ -407,42 +411,42 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     """Run every (sweep point x realization), write traces and summaries.
 
     Channel generation uses seed = base channel seed + realization index, so
-    all algorithms run on identical channel sets per realization.  Results
-    are reduced in realization order regardless of worker count; identical
-    specs therefore produce byte-identical CSV and summary JSON.
+    all algorithms run on identical channel sets per realization.  One
+    process pool solves every (point, realization) job of the run; results
+    are reduced point by point, in realization order, once all are in, so
+    identical specs produce byte-identical CSV and summary JSON whatever the
+    worker count.  ``verify`` attaches the bound scan of every trace and the
+    finite-difference gradient check, both run in this process.
     """
     outdir = spec.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     options = spec.solver
 
+    points = [(label, cfg, options.at_snr(cfg.snr_db)) for label, cfg in _sweep_points(spec)]
+    jobs = [(r, dataclasses.replace(cfg, channel_seed=cfg.channel_seed + r,
+                                    init_seed=cfg.init_seed + r), point_options, verify)
+            for _, cfg, point_options in points for r in range(spec.n_realizations)]
+    workers = spec.parallel_workers
+    if workers == 0:
+        workers = min(len(jobs), os.cpu_count() or 1)
+    # Every solve finishes before any point is reduced, so the trace and
+    # verify work below never runs beside the workers.
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw_results = list(pool.map(_solve_one, jobs))
+    else:
+        raw_results = [_solve_one(job) for job in jobs]
+
     point_summaries: list[PointSummary] = []
     oracle_reports: list[OracleReport] = []
-    for label, point_cfg in _sweep_points(spec):
-        point_options = options.at_snr(point_cfg.snr_db)
-        jobs = []
-        for r in range(spec.n_realizations):
-            cfg_r = dataclasses.replace(
-                point_cfg,
-                channel_seed=point_cfg.channel_seed + r,
-                init_seed=point_cfg.init_seed + r,
-            )
-            jobs.append((r, cfg_r, point_options))
-
-        workers = spec.parallel_workers
-        if workers == 0:
-            workers = min(len(jobs), os.cpu_count() or 1)
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                raw_results = list(pool.map(_solve_one, jobs))
-        else:
-            raw_results = [_solve_one(job) for job in jobs]
-        raw_results.sort(key=lambda item: item[0])
-
+    n = spec.n_realizations
+    for p, (label, point_cfg, point_options) in enumerate(points):
+        point = slice(p * n, (p + 1) * n)
         wsr, iters, switches, walls, residuals = [], [], [], [], []
         failures: list[str] = []
         n_converged = 0
         lemma_reports: list[OracleReport] = []
-        for r, result, wall, error in raw_results:
+        for (r, cfg_r, _, _), (_, result, wall, error) in zip(jobs[point], raw_results[point]):
             if error is not None:
                 failures.append(f"seed {r}: {error}")
                 continue
@@ -456,7 +460,6 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
             if result.converged:
                 n_converged += 1
             if verify:
-                cfg_r = jobs[r][1]
                 channels = generate_channels(cfg_r)
                 channels = channels.with_noise_power(
                     compute_noise_power(channels, cfg_r.snr_db, cfg_r))
@@ -473,7 +476,7 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
             label=label,
             config=point_cfg,
             solver=point_options,
-            n_realizations=spec.n_realizations,
+            n_realizations=n,
             n_completed=len(wsr),
             n_converged=n_converged,
             wsr_bits_mean=wsr_mean,

@@ -20,9 +20,11 @@ two the exact update.  Each iteration of the loop runs:
 
 The loop computes only what those decisions need and keeps each iteration's
 blocks (U, W_prev, W, Vhat, V).  The records come after the loop: the
-objective checkpoints of all T trace rows are three stacked
+objective checkpoints of all T trace rows are stacked
 :func:`~.objective.wmmse_objective` passes over the (T, K, ., .) stacks of
-those blocks, and the blocks become the result's :class:`BlockIterate` records.
+those blocks (``f_after_w`` is evaluated on the weighted rows only; in the
+unweighted rows it equals ``f_after_u``), and the blocks become the result's
+:class:`BlockIterate` records.
 
 No M x M matrix is formed in the iteration loop.  Both precoder updates work
 with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
@@ -537,7 +539,11 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     # one stacked pass each over the (T, K, ., .) stacks of the iterates.
     us, w_prevs, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
     f_after_u = wmmse_objective(us, w_prevs, v_hats, h, weights, sigma2).tolist()
-    f_after_w = wmmse_objective(us, ws, v_hats, h, weights, sigma2).tolist()
+    # The unweighted rows come first and have W = W_prev = I: there the
+    # weight update leaves the objective where the receiver update left it.
+    s = sum(stage is Stage.UNWEIGHTED for _, _, stage in steps)
+    f_after_w = f_after_u[:s] + wmmse_objective(
+        us[s:], ws[s:], v_hats[s:], h, weights, sigma2).tolist()
     f_after_v = wmmse_objective(us, ws, vs, h, weights, sigma2).tolist()
     records = tuple(
         IterationRecord(t=t, wsr_bits=snap.wsr_bits, f_value=fv, total_power=snap.total_power,

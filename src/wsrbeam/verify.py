@@ -5,6 +5,13 @@ the primary implementation (finite differences instead of the closed-form
 gradient, a plain projected-gradient loop instead of the exact dual solve,
 water-filling instead of the iterative solver), so agreement is evidence
 rather than tautology.
+
+The two oracles of ``wsrbeam run --verify`` work on stacks, not loops:
+:func:`finite_diff_gradient` hands its objective the perturbed points in
+(B, K, M, d) stacks of at most ``_FD_CHUNK``, and :func:`check_lemma_bounds`
+scans the (T, K, ., .) stacks of a solve's iterates, ``_SCAN_CHUNK`` iterates
+per pass, taking the gradient factor's norm from a min(M, Kd)-square matrix
+per iterate.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import hermitianize
 from .model import ChannelSet, PrecoderSet
-from .objective import mse_matrix
+from .objective import covariance, flatten_users, interfering, mse_matrices, own_streams, received
 from .solvers import SolveResult
 
 
@@ -44,6 +51,15 @@ class OracleReport:
             raise ConfigError("OracleReport.passed inconsistent with its errors")
 
 
+# Perturbed points per objective call of :func:`finite_diff_gradient`: each
+# call's stack takes O(_FD_CHUNK * K * M * d) memory.
+_FD_CHUNK = 64
+
+# Iterates per stacked pass of :func:`check_lemma_bounds`, so its arrays take
+# O(_SCAN_CHUNK * K * M * Kd) memory however long the trace is.
+_SCAN_CHUNK = 16
+
+
 class ReferenceSolution(NamedTuple):
     precoders: PrecoderSet
     converged: bool
@@ -51,26 +67,32 @@ class ReferenceSolution(NamedTuple):
     residual: float
 
 
-def finite_diff_gradient(objective: Callable[[PrecoderSet], float], precoders: PrecoderSet,
+def finite_diff_gradient(objective: Callable[[np.ndarray], np.ndarray], precoders,
                          h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient over every real and imaginary coordinate.
 
     Complex matrices are identified with stacked real vectors, so the
     returned complex gradient is (d/dRe) + 1j (d/dIm) of the objective.
+    ``objective`` maps a (B, K, M, d) stack of precoder sets to its B values
+    (as :func:`~.objective.wmmse_objective` does); the 4 K M d perturbed
+    points go to it in stacks of at most ``_FD_CHUNK``, each built when it
+    is evaluated.
     """
     if not (h > 0):
         raise ConfigError("step h must be positive")
-    base = np.array(precoders, copy=True)
-    grad = np.zeros_like(base)
-    it = np.ndindex(base.shape)
-    for idx in it:
-        for unit in (1.0, 1.0j):
-            step = np.zeros_like(base)
-            step[idx] = h * unit
-            f_plus = objective(PrecoderSet(base + step))
-            f_minus = objective(PrecoderSet(base - step))
-            grad[idx] += unit * (f_plus - f_minus) / (2.0 * h)
-    return grad
+    base = np.array(precoders, dtype=np.complex128, copy=True)
+    flat = base.reshape(-1)
+    # Point p perturbs coordinate p // 4 by +h, -h, +ih, -ih for p % 4 = 0..3.
+    deltas = np.array([h, -h, 1j * h, -1j * h])
+    values = np.empty(4 * flat.size)
+    for start in range(0, values.size, _FD_CHUNK):
+        points = np.arange(start, min(start + _FD_CHUNK, values.size))
+        batch = np.tile(flat, (points.size, 1))
+        batch[np.arange(points.size), points // 4] += deltas[points % 4]
+        values[points] = objective(batch.reshape(points.size, *base.shape))
+    plus_minus = values.reshape(-1, 2, 2)
+    diff = (plus_minus[..., 0] - plus_minus[..., 1]) / (2.0 * h)
+    return (diff[:, 0] + 1j * diff[:, 1]).reshape(base.shape)
 
 
 def _project_stack(x: np.ndarray, p_max: float) -> np.ndarray:
@@ -144,6 +166,34 @@ def single_user_waterfilling(channel: np.ndarray, p_max: float, noise_power: flo
     return rate, precoder
 
 
+def _bound_excess(h: np.ndarray, sigma2: float, alpha: np.ndarray, limits: dict,
+                  iterates) -> dict:
+    """The largest excess of each bound family over its limit across
+    ``iterates``, in one pass over their (T, K, ., .) stacks."""
+    K, d = h.shape[0], np.asarray(iterates[0].weight_matrices).shape[-1]
+    u = np.stack([it.receivers for it in iterates])  # (T, K, N, d)
+    w = np.stack([it.weight_matrices for it in iterates])  # (T, K, d, d)
+    v = np.stack([it.precoders for it in iterates])  # (T, K, M, d)
+    hv = received(h, v)
+    e = mse_matrices(covariance(interfering(hv), sigma2), own_streams(hv), u)
+    # The shared gradient factor 2 F D F^H, with F = [H_1^H U_1 ... H_K^H U_K]
+    # and D = blockdiag(alpha_k W_k), has the nonzero spectrum of 2 R D R^H
+    # for the thin QR F = QR: a min(M, Kd)-square matrix per iterate, and no
+    # assumption that W is positive definite.
+    r = np.linalg.qr(flatten_users(np.conj(np.swapaxes(h, 1, 2)) @ u), mode="r")
+    rk = np.swapaxes(r.reshape(*r.shape[:2], K, d), 1, 2)  # (T, K, rows, d): user k's columns
+    factor = np.einsum("k,tkij->tij", 2.0 * alpha,
+                       rk @ hermitianize(w) @ np.conj(np.swapaxes(rk, -1, -2)))
+    excess = {
+        "mse_eigenvalue_floor": limits["mse_eigenvalue_floor"] - np.linalg.eigvalsh(e)[..., 0],
+        "receiver_norm": np.sum(np.abs(u) ** 2, axis=(-2, -1)) - limits["receiver_norm"],
+        "weight_norm": np.sum(np.abs(w) ** 2, axis=(-2, -1)) - limits["weight_norm"],
+        "gradient_factor_norm": (np.max(np.abs(np.linalg.eigvalsh(factor)), axis=-1)
+                                 - limits["gradient_factor_norm"]),
+    }
+    return {name: float(np.max(x)) for name, x in excess.items()}
+
+
 def check_lemma_bounds(channels: ChannelSet, trace: SolveResult, bounds,
                        weights=None) -> OracleReport:
     """Scan every recorded block iterate against the convergence bounds.
@@ -171,28 +221,11 @@ def check_lemma_bounds(channels: ChannelSet, trace: SolveResult, bounds,
         "weight_norm": d / bounds.ek_floor ** 2 + 1e-6,
         "gradient_factor_norm": bounds.l_v + 1e-6,
     }
-    worst = {name: -math.inf for name in limits}
     alpha = np.ones(K) if weights is None else np.asarray(weights, dtype=np.float64)
-    for it in trace.iterates:
-        u = np.asarray(it.receivers)
-        w = np.asarray(it.weight_matrices)
-        v = np.asarray(it.precoders)
-        factor = np.zeros((h.shape[2], h.shape[2]), dtype=np.complex128)
-        for k in range(K):
-            e = mse_matrix(h[k], u[k], v, sigma2, k)
-            lam_min = float(np.linalg.eigvalsh(e)[0])
-            worst["mse_eigenvalue_floor"] = max(worst["mse_eigenvalue_floor"],
-                                                limits["mse_eigenvalue_floor"] - lam_min)
-            u_norm2 = float(np.real(np.vdot(u[k], u[k])))
-            worst["receiver_norm"] = max(worst["receiver_norm"], u_norm2 - limits["receiver_norm"])
-            w_norm2 = float(np.real(np.vdot(w[k], w[k])))
-            worst["weight_norm"] = max(worst["weight_norm"], w_norm2 - limits["weight_norm"])
-            hu = h[k].conj().T @ u[k]
-            factor += 2.0 * float(alpha[k]) * (hu @ w[k] @ hu.conj().T)
-        f_norm = float(np.linalg.norm(hermitianize(factor), 2))
-        worst["gradient_factor_norm"] = max(worst["gradient_factor_norm"],
-                                            f_norm - limits["gradient_factor_norm"])
-    violated = [name for name, excess in worst.items() if excess > 0.0]
+    chunks = [_bound_excess(h, sigma2, alpha, limits, trace.iterates[start:start + _SCAN_CHUNK])
+              for start in range(0, len(trace.iterates), _SCAN_CHUNK)]
+    worst = {name: max(chunk[name] for chunk in chunks) for name in limits}
+    violated = [name for name, value in worst.items() if value > 0.0]
     max_abs = max(0.0, max(worst.values()))
     max_rel = max([0.0] + [worst[name] / abs(limits[name]) for name in violated])
     return OracleReport(

@@ -182,17 +182,69 @@ class TestRunExperiment:
             vals = [finals[a][r] for a in finals]
             assert (max(vals) - min(vals)) / min(vals) <= 0.02
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("overrides, verify", [
+        ({}, False),
+        ({"algorithm": "mmmse", "sweep": {"snr_db": [0, 20]}}, True),
+    ], ids=["base", "snr_sweep_verify"])
+    def test_parallel_matches_serial(self, tmp_path, overrides, verify):
         import dataclasses
-        spec = wb.parse_experiment(spec_text(n_realizations=3, max_iters=60))
-        serial = dataclasses.replace(spec, output_dir=tmp_path / "serial", parallel_workers=1)
-        parallel = dataclasses.replace(spec, output_dir=tmp_path / "par", parallel_workers=3)
-        wb.run_experiment(serial)
-        wb.run_experiment(parallel)
-        for r in range(3):
-            name = f"wmmse_base_seed{r}.csv"
-            assert ((tmp_path / "serial" / name).read_bytes()
-                    == (tmp_path / "par" / name).read_bytes())
+        spec = wb.parse_experiment(spec_text(n_realizations=3, max_iters=60, **overrides))
+        for workers in (1, 2):
+            wb.run_experiment(dataclasses.replace(
+                spec, output_dir=tmp_path / f"w{workers}", parallel_workers=workers),
+                verify=verify)
+        serial, parallel = tmp_path / "w1", tmp_path / "w2"
+        names = sorted(p.name for p in serial.glob("*.csv"))
+        assert len(names) == 3 * len(overrides.get("sweep", {}).get("snr_db", [0]))
+        assert names == sorted(p.name for p in parallel.glob("*.csv"))
+        for name in names:
+            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+        docs = [json.loads((out / "summary.json").read_text()) for out in (serial, parallel)]
+        for doc in docs:  # the two fields the runs set apart
+            del doc["spec"]["output_dir"], doc["spec"]["parallel_workers"]
+        assert docs[0] == docs[1]
+        assert bool(docs[0]["oracles"]) == verify
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch):
+        # One pool maps every (sweep point, realization) job, point-major.
+        import dataclasses
+        import wsrbeam.harness as harness
+        made = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                self.maps = []
+                made.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                self.maps.append((fn, jobs))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        spec = wb.parse_experiment(spec_text(n_realizations=2, max_iters=30,
+                                             sweep={"snr_db": [0, 10, 20]}))
+        wb.run_experiment(dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=2))
+        assert len(made) == 1 and len(made[0].maps) == 1
+        fn, jobs = made[0].maps[0]
+        assert fn is harness._solve_one
+        assert [(job[0], job[1].snr_db, job[1].channel_seed) for job in jobs] == [
+            (r, snr, r) for snr in (0.0, 10.0, 20.0) for r in range(2)]
+
+    def test_iterates_returned_only_when_verifying(self):
+        import wsrbeam.harness as harness
+        cfg = wb.SystemConfig(**MINIMAL)
+        options = wb.SolverOptions(max_iters=20)
+        for verify in (False, True):
+            index, result, wall, error = harness._solve_one((5, cfg, options, verify))
+            assert (index, error) == (5, None) and wall > 0.0
+            assert len(result.iterates) == (result.iterations if verify else 0)
 
     def test_summary_contents(self, tmp_path):
         import dataclasses

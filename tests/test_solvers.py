@@ -595,6 +595,8 @@ def test_checkpoints_pair_with_the_returned_iterates(algorithm):
         got = (rec.f_after_u, rec.f_after_w, rec.f_after_v)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0), rec.t
         assert rec.f_value == rec.f_after_v
+        if rec.stage is wb.Stage.UNWEIGHTED:  # W_t = W_{t-1} = I
+            assert rec.f_after_w == rec.f_after_u
         v_old, v_prev, w_prev = v_prev, v, w
 
 

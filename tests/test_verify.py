@@ -6,8 +6,57 @@ import pytest
 
 import wsrbeam as wb
 from wsrbeam.errors import ConfigError
+from wsrbeam.linalg import hermitianize
+from wsrbeam.verify import _FD_CHUNK
 
 from conftest import make_system, mmse_blocks
+
+
+def reference_lemma_scan(channels, trace, bounds, weights=None):
+    """The bound scan that :func:`wsrbeam.check_lemma_bounds` stacks, one
+    iterate and one user at a time: a per-user MSE matrix and an M x M
+    gradient factor per iterate, whose spectral norm comes from an SVD."""
+    sigma2 = channels.noise_power
+    h = channels.channels
+    K = h.shape[0]
+    d = np.asarray(trace.iterates[0].weight_matrices).shape[-1]
+    limits = {
+        "mse_eigenvalue_floor": bounds.ek_floor - 1e-9,
+        "receiver_norm": d / sigma2 + 1e-9,
+        "weight_norm": d / bounds.ek_floor ** 2 + 1e-6,
+        "gradient_factor_norm": bounds.l_v + 1e-6,
+    }
+    worst = {name: -math.inf for name in limits}
+    alpha = np.ones(K) if weights is None else np.asarray(weights, dtype=np.float64)
+    for it in trace.iterates:
+        u = np.asarray(it.receivers)
+        w = np.asarray(it.weight_matrices)
+        v = np.asarray(it.precoders)
+        factor = np.zeros((h.shape[2], h.shape[2]), dtype=np.complex128)
+        for k in range(K):
+            e = wb.mse_matrix(h[k], u[k], v, sigma2, k)
+            lam_min = float(np.linalg.eigvalsh(e)[0])
+            worst["mse_eigenvalue_floor"] = max(worst["mse_eigenvalue_floor"],
+                                                limits["mse_eigenvalue_floor"] - lam_min)
+            u_norm2 = float(np.real(np.vdot(u[k], u[k])))
+            worst["receiver_norm"] = max(worst["receiver_norm"], u_norm2 - limits["receiver_norm"])
+            w_norm2 = float(np.real(np.vdot(w[k], w[k])))
+            worst["weight_norm"] = max(worst["weight_norm"], w_norm2 - limits["weight_norm"])
+            hu = h[k].conj().T @ u[k]
+            factor += 2.0 * float(alpha[k]) * (hu @ w[k] @ hu.conj().T)
+        f_norm = float(np.linalg.norm(hermitianize(factor), 2))
+        worst["gradient_factor_norm"] = max(worst["gradient_factor_norm"],
+                                            f_norm - limits["gradient_factor_norm"])
+    violated = [name for name, excess in worst.items() if excess > 0.0]
+    return wb.OracleReport(
+        name="lemma_bounds",
+        max_abs_error=max(0.0, max(worst.values())),
+        max_rel_error=max([0.0] + [worst[name] / abs(limits[name]) for name in violated]),
+        instances=len(trace.iterates),
+        passed=not violated,
+        tolerance=0.0,
+        detail="" if not violated else "violated: " + ", ".join(sorted(violated)),
+    )
 
 
 class TestFiniteDiffGradient:
@@ -16,15 +65,32 @@ class TestFiniteDiffGradient:
         rng = np.random.default_rng(31)
         c = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
 
-        def quadratic(v):
-            x = v.precoders
-            return float(np.real(np.vdot(x, x)) + 2.0 * np.real(np.vdot(c, x)))
+        def quadratic(x):
+            # (B, K, M, d) stack -> B values
+            return np.sum(np.abs(x) ** 2 + 2.0 * np.real(np.conj(c) * x), axis=(1, 2, 3))
 
         v0 = wb.PrecoderSet(rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2)))
         fd = wb.finite_diff_gradient(quadratic, v0, h=1e-5)
         expected = 2.0 * v0.precoders + 2.0 * c
         rel = np.linalg.norm(fd - expected) / np.linalg.norm(expected)
         assert rel < 1e-8
+
+    def test_objective_receives_chunked_stacks(self):
+        rng = np.random.default_rng(36)
+        shape = (3, 5, 2)
+        n = math.prod(shape)
+        v0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        seen = []
+
+        def objective(x):
+            seen.append(x.shape)
+            return np.sum(np.abs(x) ** 2, axis=(1, 2, 3))
+
+        fd = wb.finite_diff_gradient(objective, v0)
+        assert len(seen) <= math.ceil(4 * n / _FD_CHUNK)
+        assert all(s[1:] == shape and s[0] <= _FD_CHUNK for s in seen)
+        assert sum(s[0] for s in seen) == 4 * n
+        np.testing.assert_allclose(fd, 2.0 * v0, rtol=1e-8)
 
     def test_constant_objective_gives_zero(self, small_system):
         cfg, ch = small_system
@@ -168,6 +234,50 @@ class TestCheckLemmaBounds:
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
         with pytest.raises(ConfigError):
             wb.check_lemma_bounds(ch, res, bounds)
+
+
+# (M, K, d): K*d below, at and above M, for d = 2 and d = 1.
+_SCAN_SHAPES = [(16, 4, 2), (8, 4, 2), (6, 4, 2), (8, 4, 1), (4, 4, 1), (3, 4, 1)]
+
+_CORRUPTIONS = {
+    "clean": lambda it: it,
+    "weights_scaled": lambda it: it._replace(weight_matrices=it.weight_matrices * 1e6),
+    "weights_indefinite": lambda it: it._replace(weight_matrices=-it.weight_matrices),
+    "receivers_scaled": lambda it: it._replace(receivers=it.receivers * 1e3),
+    "precoders_scaled": lambda it: it._replace(precoders=it.precoders * 1e2),
+    "precoders_up_receivers_down": lambda it: it._replace(precoders=it.precoders * 10.0,
+                                                          receivers=it.receivers / 10.0),
+}
+
+
+@pytest.fixture(scope="module", params=_SCAN_SHAPES, ids=lambda s: "M{}_K{}_d{}".format(*s))
+def two_stage_solve(request):
+    M, K, d = request.param
+    cfg, ch = make_system(seed=M + K + d, M=M, N=2, K=K, d=d,
+                          weights=[1.0 + 0.25 * k for k in range(K)])
+    res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.MMMSE, eps2=1e-4))
+    bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
+    return cfg, ch, res, bounds
+
+
+class TestStackedLemmaScan:
+    @pytest.mark.parametrize("corrupted", ["all", "last"])
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_matches_per_iterate_reference(self, two_stage_solve, corruption, corrupted):
+        # "last" corrupts the final iterate only, which sits in the scan's
+        # last chunk of iterates.
+        cfg, ch, res, bounds = two_stage_solve
+        assert {it.stage for it in res.iterates} == set(wb.Stage)
+        first = 0 if corrupted == "all" else len(res.iterates) - 1
+        trace = dataclasses.replace(res, iterates=res.iterates[:first] + tuple(
+            _CORRUPTIONS[corruption](it) for it in res.iterates[first:]))
+        got = wb.check_lemma_bounds(ch, trace, bounds, cfg.weight_vector)
+        ref = reference_lemma_scan(ch, trace, bounds, cfg.weight_vector)
+        assert (got.passed, got.detail, got.instances) == (ref.passed, ref.detail, ref.instances)
+        assert got.max_abs_error == pytest.approx(ref.max_abs_error, rel=1e-12, abs=1e-12)
+        assert got.max_rel_error == pytest.approx(ref.max_rel_error, rel=1e-12, abs=1e-12)
+        if corruption in ("weights_scaled", "receivers_scaled", "precoders_up_receivers_down"):
+            assert not got.passed
 
 
 class TestOracleReport:
