@@ -32,7 +32,7 @@ from .objective import (
     compute_bounds,
     gradient_v,
     mse_matrix,
-    user_rate,
+    user_rates,
     weighted_gram,
     weighted_sum_rate,
     wmmse_objective,

@@ -5,6 +5,8 @@ Usage:
                                 [--seeds N] [--verify]
 
 Flags override the corresponding config values (flag > config > default).
+Exit status: 0 on success, 1 when a ``--verify`` oracle report fails (the
+outputs are still written), 2 on a config or I/O error.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def main(argv=None) -> int:
         extra = f" ({report.detail})" if report.detail else ""
         print(f"oracle {report.name}: {status}, max rel err {report.max_rel_error:.3e}{extra}")
     print(f"outputs written to {spec.output_dir}")
-    return 0
+    return 0 if all(report.passed for report in summary.oracle_reports) else 1
 
 
 if __name__ == "__main__":

@@ -118,11 +118,10 @@ def _parse_field(raw: dict, key: str, kind=None, default=None, required=False):
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate a flat-key JSON experiment document.
 
-    Defaults: eps1=0.1, eps2=0.001, p_max=10; for A-MMMSE, unset omega and
-    gamma come from :meth:`SolverOptions.at_snr` (left unset when snr_db is
-    swept: the runner applies it per sweep point).  Unknown keys, values of
-    the wrong type and invalid ranges are rejected with the offending field
-    named.
+    Defaults: eps1=0.1, eps2=0.001, p_max=10.  Unset omega and gamma stay
+    unset: :func:`run_experiment` resolves them per sweep point, for the
+    algorithm that runs there.  Unknown keys, values of the wrong type and
+    invalid ranges are rejected with the offending field named.
     """
     try:
         raw = json.loads(text)
@@ -167,8 +166,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
             for item in items)):
         raise ConfigError("sweep must map parameter names to value lists")
     sweep = tuple((str(name), tuple(values)) for name, values in items or ())
-    if "snr_db" not in dict(sweep):
-        solver = solver.at_snr(config.snr_db)
 
     return ExperimentSpec(
         base=config,
@@ -193,7 +190,7 @@ def emit_trace(result: SolveResult, path: Path | str) -> None:
         lines.append(",".join([
             str(rec.t),
             _fmt(rec.wsr_bits),
-            _fmt(rec.f_value),
+            _fmt(rec.f_after_v),  # the f_nats column
             _fmt(rec.total_power),
             str(rec.stage.value),
             _fmt(rec.f_after_u),
@@ -205,7 +202,10 @@ def emit_trace(result: SolveResult, path: Path | str) -> None:
 
 
 def read_trace(path: Path | str) -> tuple[IterationRecord, ...]:
-    """Parse a trace CSV back into iteration records (exact round trip)."""
+    """Parse a trace CSV back into iteration records (exact round trip).
+
+    The ``f_nats`` column repeats ``f_after_v``; a row where they differ is
+    rejected."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != TRACE_HEADER:
@@ -215,10 +215,11 @@ def read_trace(path: Path | str) -> tuple[IterationRecord, ...]:
         parts = ln.split(",")
         if len(parts) != 9:
             raise ConfigError(f"{path}: malformed trace row {ln!r}")
+        if float(parts[2]) != float(parts[7]):
+            raise ConfigError(f"{path}: f_nats differs from f_after_v in trace row {ln!r}")
         records.append(IterationRecord(
             t=int(parts[0]),
             wsr_bits=float(parts[1]),
-            f_value=float(parts[2]),
             total_power=float(parts[3]),
             stage=Stage(int(parts[4])),
             f_after_u=float(parts[5]),
@@ -376,11 +377,9 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
         return wmmse_objective(receivers, wmats, v, channels, weights, sigma2)
 
     fd = finite_diff_gradient(objective, precoders)
-    worst = 0.0
-    for k in range(config.K):
-        analytic = gradient_v(receivers, wmats, precoders[k], channels, weights, k)
-        scale = max(float(np.linalg.norm(analytic)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(analytic - fd[k])) / scale)
+    analytic = gradient_v(receivers, wmats, precoders, channels, weights)
+    scale = np.maximum(np.linalg.norm(analytic, axis=(1, 2)), 1e-12)
+    worst = float(np.max(np.linalg.norm(analytic - fd, axis=(1, 2)) / scale))
     tol = 1e-6
     return OracleReport(
         name="gradient_finite_difference",
@@ -415,14 +414,16 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     process pool solves every (point, realization) job of the run; results
     are reduced point by point, in realization order, once all are in, so
     identical specs produce byte-identical CSV and summary JSON whatever the
-    worker count.  ``verify`` attaches the bound scan of every trace and the
+    worker count.  A-MMMSE's unset step parameters are resolved here, per
+    sweep point, by :meth:`SolverOptions.at_snr`: each point records the step
+    that ran, while ``spec.solver`` keeps what the spec asked for.
+    ``verify`` attaches the bound scan of every trace and the
     finite-difference gradient check, both run in this process.
     """
     outdir = spec.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    options = spec.solver
 
-    points = [(label, cfg, options.at_snr(cfg.snr_db)) for label, cfg in _sweep_points(spec)]
+    points = [(label, cfg, spec.solver.at_snr(cfg.snr_db)) for label, cfg in _sweep_points(spec)]
     jobs = [(r, dataclasses.replace(cfg, channel_seed=cfg.channel_seed + r,
                                     init_seed=cfg.init_seed + r), point_options, verify)
             for _, cfg, point_options in points for r in range(spec.n_realizations)]

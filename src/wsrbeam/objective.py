@@ -9,11 +9,13 @@ positive definite wherever the objective or gradient is evaluated.  Block
 arguments are (K, ., .) stacks: plain ndarrays or the matrix sets of
 :mod:`.model`, read through ``np.asarray``.
 
-The stacked helpers (:func:`flatten_users`, :func:`received`,
-:func:`own_streams`, :func:`interfering`) and :func:`wmmse_objective` also
-take leading batch axes in front of the user axis, e.g. (T, K, ., .) stacks
-of T iterates against one (K, N, M) channel stack.  Each slice of a batched
-result agrees with the unbatched call on that slice to rounding.
+Each per-user quantity has one route, stacked over the users; there is no
+one-user form.  The stacked helpers (:func:`flatten_users`, :func:`received`,
+:func:`own_streams`, :func:`interfering`), :func:`mse_matrix`,
+:func:`user_rates` and :func:`wmmse_objective` also take leading batch axes
+in front of the user axis, e.g. (T, K, ., .) stacks of T iterates against
+one (K, N, M) channel stack.  Each slice of a batched result agrees with the
+unbatched call on that slice to rounding.
 """
 
 from __future__ import annotations
@@ -88,15 +90,14 @@ class ObjectiveSnapshot:
 
 
 def received(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H_k [V_1 ... V_K]: (..., K, N, Kd) for a channel stack and (..., K, M, d)
-    precoders, (N, Kd) for one H_k and one (K, M, d) precoder set."""
-    flat = flatten_users(v)
-    return h @ (flat if h.ndim == 2 else flat[..., None, :, :])
+    """H_k [V_1 ... V_K]: (..., K, N, Kd) for a (K, N, M) channel stack and
+    (..., K, M, d) precoders."""
+    return h @ flatten_users(v)[..., None, :, :]
 
 
 def covariance(hv: np.ndarray, noise_power: float) -> np.ndarray:
-    """sum_j H_k V_j V_j^H H_k^H + sigma^2 I over the column blocks of ``hv``
-    (a :func:`received` stack, or one of its rows)."""
+    """sum_j H_k V_j V_j^H H_k^H + sigma^2 I over the column blocks of a
+    :func:`received` stack."""
     return hermitianize(hv @ np.conj(np.swapaxes(hv, -1, -2))) + noise_power * np.eye(hv.shape[-2])
 
 
@@ -115,59 +116,41 @@ def interfering(hv: np.ndarray) -> np.ndarray:
     return hv * (1.0 - np.repeat(np.eye(K), kd // K, axis=1))[:, None, :]
 
 
-def mse_matrices(interference: np.ndarray, own: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-    """E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H + U_k^H Q_k U_k from the
-    interference-plus-noise covariances Q_k, own-stream blocks and receivers
-    of every user (or of one): a symmetrized sum of PSD terms."""
-    uh = np.conj(np.swapaxes(receivers, -1, -2))
-    t = np.eye(own.shape[-1]) - uh @ own
-    return hermitianize(t @ np.conj(np.swapaxes(t, -1, -2)) + uh @ interference @ receivers)
+def mse_matrix(channels, receivers, precoders, noise_power: float) -> np.ndarray:
+    """The (..., K, d, d) MSE matrices of every user's stream estimates,
+
+    E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H
+          + U_k^H (sum_{j != k} H_k V_j V_j^H H_k^H + sigma^2 I) U_k,
+
+    a symmetrized sum of PSD terms built from the interference-plus-noise
+    covariance."""
+    hv = received(np.asarray(channels), np.asarray(precoders))
+    u = np.asarray(receivers)
+    uh = np.conj(np.swapaxes(u, -1, -2))
+    t = np.eye(u.shape[-1]) - uh @ own_streams(hv)
+    return hermitianize(t @ np.conj(np.swapaxes(t, -1, -2))
+                        + uh @ covariance(interfering(hv), noise_power) @ u)
 
 
-def rates(interference: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Rates in nats, ln det(Q_k + H_k V_k V_k^H H_k^H) - ln det Q_k, of every
-    user (or of one), from the same arguments as :func:`mse_matrices`."""
+def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
+    """The (K,) rates in nats per channel use,
+    ln det(Q_k + H_k V_k V_k^H H_k^H) - ln det Q_k with Q_k the
+    interference-plus-noise covariance of user k."""
+    if not (noise_power > 0):
+        raise ConfigError("noise power must be positive")
+    hv = received(np.asarray(channels), np.asarray(precoders))
+    interference, own = covariance(interfering(hv), noise_power), own_streams(hv)
     signal = hermitianize(interference + own @ np.conj(np.swapaxes(own, -1, -2)))
     return np.maximum(lndet_hpd(signal) - lndet_hpd(interference), 0.0)
 
 
-def _one_user(channel: np.ndarray, precoders, noise_power: float, k: int):
-    """(Q_k, H_k V_k) of user ``k`` from its channel alone."""
-    v = np.asarray(precoders)
-    hv, d = received(channel, v), v.shape[2]
-    own = hv[:, k * d:(k + 1) * d].copy()
-    hv[:, k * d:(k + 1) * d] = 0.0
-    return covariance(hv, noise_power), own
-
-
-def mse_matrix(channel: np.ndarray, receiver: np.ndarray, precoders, noise_power: float, k: int) -> np.ndarray:
-    """MSE matrix of user ``k``'s stream estimates, one user's :func:`mse_matrices`.
-
-    E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H
-          + U_k^H (sum_{j != k} H_k V_j V_j^H H_k^H + sigma^2 I) U_k
-    """
-    if channel.shape[1] != np.asarray(precoders).shape[1] or receiver.shape[0] != channel.shape[0]:
-        raise ConfigError("inconsistent shapes for MSE matrix evaluation")
-    return mse_matrices(*_one_user(channel, precoders, noise_power, k), receiver)
-
-
-def user_rate(channel: np.ndarray, precoders, noise_power: float, k: int) -> float:
-    """Rate of user ``k`` in nats per channel use, one user's :func:`rates`:
-    log det(I + H_k V_k V_k^H H_k^H (sum_{j != k} H_k V_j V_j^H H_k^H
-    + sigma^2 I)^{-1})."""
-    if not (noise_power > 0):
-        raise ConfigError("noise power must be positive")
-    return float(rates(*_one_user(channel, precoders, noise_power, k)))
-
-
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
-    """Sum of per-user rates scaled by the user priorities, in one stacked pass."""
+    """alpha @ :func:`user_rates`, with the transmit power."""
     if channels.noise_power is None:
         raise ConfigError("channels carry no noise power; call compute_noise_power first")
     v = np.asarray(precoders)
-    hv = received(np.asarray(channels), v)
     alpha = np.asarray(weights, dtype=np.float64)
-    total = float(alpha @ rates(covariance(interfering(hv), channels.noise_power), own_streams(hv)))
+    total = float(alpha @ user_rates(channels, v, channels.noise_power))
     return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(v))
 
 
@@ -178,7 +161,6 @@ def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, no
     the plain sum-MSE objective.  A float for one (K, ., .) set of blocks; an
     array over the leading axes for (..., K, ., .) stacks of them.
     """
-    u = np.asarray(receivers)
     w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
     try:
@@ -186,8 +168,7 @@ def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, no
     except np.linalg.LinAlgError as exc:
         k = int(np.argmin(np.linalg.eigvalsh(w)[..., 0])) % w.shape[-3]
         raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
-    hv = received(np.asarray(channels), np.asarray(precoders))
-    e = mse_matrices(covariance(interfering(hv), noise_power), own_streams(hv), u)
+    e = mse_matrix(channels, receivers, precoders, noise_power)
     trace_we = np.real(np.einsum("...kij,...kji->...k", w, e))
     f = (trace_we - lndet_w) @ alpha
     return float(f) if f.ndim == 0 else f
@@ -205,16 +186,6 @@ class PrecoderFactor(NamedTuple):
 
     f: np.ndarray
     dmat: np.ndarray
-
-    def gradient(self, v: np.ndarray, select: np.ndarray) -> np.ndarray:
-        """2 F D (F^H V - S) = 2 A V - 2 B S, in O(M Kd c) for c columns.
-
-        ``v`` (M x c) holds precoder columns and ``select`` (Kd x c) the
-        matching columns of the Kd x Kd identity: the flattened precoders of
-        all users with the identity give every user's gradient at once.
-        """
-        f, dmat = self
-        return 2.0 * (f @ (dmat @ (f.conj().T @ v - select)))
 
 
 def precoder_factor(channels, receivers, weight_matrices, weights) -> PrecoderFactor:
@@ -240,20 +211,22 @@ def weighted_gram(channels, receivers, weight_matrices, weights) -> np.ndarray:
     return hermitianize(f @ dmat @ f.conj().T)
 
 
-def gradient_v(receivers, weight_matrices, precoder_k: np.ndarray, channels, weights, k: int) -> np.ndarray:
-    """Gradient of the weighted sum-MSE objective in user ``k``'s precoder.
+def gradient_v(receivers, weight_matrices, precoders, channels, weights) -> np.ndarray:
+    """Gradient of the weighted sum-MSE objective in every user's precoder,
+    a (K, M, d) stack:
 
-    grad = (2 sum_m alpha_m H_m^H U_m W_m U_m^H H_m) V_k
-           - 2 alpha_k H_k^H U_k W_k
+    grad_k = (2 sum_m alpha_m H_m^H U_m W_m U_m^H H_m) V_k
+             - 2 alpha_k H_k^H U_k W_k
 
     where the complex gradient is the real gradient over the stacked real and
-    imaginary coordinates.  It is evaluated in the factored form of
-    :meth:`PrecoderFactor.gradient`, which is cheaper than any M x M product.
+    imaginary coordinates.  It is evaluated in the factored form
+    2 F D (F^H V - I) with V = [V_1 ... V_K] (see :class:`PrecoderFactor`),
+    in O(M (Kd)^2) and with no M x M product.
     """
-    factor = precoder_factor(channels, receivers, weight_matrices, weights)
-    d = np.asarray(receivers).shape[2]
-    select = np.eye(factor.dmat.shape[0], dtype=np.complex128)[:, k * d:(k + 1) * d]
-    return factor.gradient(precoder_k, select)
+    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
+    v = np.asarray(precoders)
+    K, _, d = v.shape
+    return split_users(2.0 * (f @ (dmat @ (f.conj().T @ flatten_users(v) - np.eye(K * d)))), K, d)
 
 
 def compute_bounds(channels, weights, p_max: float, noise_power: float) -> BoundsReport:

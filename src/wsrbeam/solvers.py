@@ -10,7 +10,8 @@ two the exact update.  Each iteration of the loop runs:
   1. extrapolate the precoders (A-MMMSE, from the second iteration on),
   2. MMSE receive-filter update,
   3. weight-matrix update -- pinned to identity during the unweighted
-     warm-start stage, standard update once the stage latch has fired,
+     warm-start stage, standard update once the stage latch has fired: one
+     batched Cholesky solve of the K MSE matrices at the fresh receivers,
   4. precoder update -- either the exact minimizer of the precoder
      subproblem (one eigendecomposition and a Newton solve for the dual
      variable of the sum-power constraint) or a single projected gradient
@@ -77,6 +78,7 @@ from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py pa
     compute_bounds,
     covariance,
     flatten_users,
+    gradient_v,
     own_streams,
     precoder_factor,
     received,
@@ -100,8 +102,6 @@ STEP_DEFAULTS_BY_SNR: dict[float, tuple[float, float]] = {
     15.0: (0.8, 0.005),
     20.0: (0.8, 0.003),
 }
-
-_COND_LIMIT = 1e12
 
 #: Relative margin below p_max that the exact dual solve aims the power at,
 #: and that a sum-power projection falls back to when rounding overshoots.
@@ -193,7 +193,6 @@ class IterationRecord:
 
     t: int
     wsr_bits: float
-    f_value: float
     total_power: float
     stage: Stage
     f_after_u: float
@@ -255,30 +254,27 @@ def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
 def update_weight_matrices(channels, receivers, precoders) -> np.ndarray:
     """Weight update W_k = (I - U_k^H H_k V_k)^{-1}, symmetrized after the solve.
 
-    With fresh MMSE receivers the argument equals the (Hermitian positive
-    definite) MSE matrix, so the update is well posed; for other receivers a
-    near-singular argument raises with a condition estimate naming the user.
-    All K updates are one batched condition estimate, solve and eigensolve.
+    With fresh MMSE receivers the argument, hermitianized, is the Hermitian
+    positive definite MSE matrix E_k, so all K updates are one batched
+    Cholesky solve.  The factorization failing is the positive-definiteness
+    check: only then is a condition estimate computed, and the error names
+    the user whose argument is furthest from positive definite.
     """
     h = np.asarray(channels)
     u = np.asarray(receivers)
     v = np.asarray(precoders)
-    t = np.eye(v.shape[2]) - np.conj(np.swapaxes(u, 1, 2)) @ h @ v
-    cond = np.linalg.cond(t)
-    bad = np.flatnonzero(~np.isfinite(cond) | (cond > _COND_LIMIT))
-    if bad.size:
-        k = int(bad[0])
+    eye = np.eye(v.shape[2])
+    t = hermitianize(eye - np.conj(np.swapaxes(u, 1, 2)) @ h @ v)
+    try:
+        return hermitianize(solve_hpd(t, np.broadcast_to(eye, t.shape)))
+    except np.linalg.LinAlgError as exc:
+        eig = np.linalg.eigvalsh(t)
+        with np.errstate(invalid="ignore"):  # a zero argument reads 0/0 and is picked
+            k = int(np.argmin(eig[:, 0] / np.abs(eig).max(axis=1)))
         raise IllConditionedWeightError(
-            f"weight update for user {k} is ill conditioned (cond ~ {cond[k]:.3e}); "
-            "receivers are not MMSE-consistent with the precoders")
-    out = hermitianize(np.linalg.solve(t, np.broadcast_to(np.eye(v.shape[2]), t.shape)))
-    bad = np.flatnonzero(np.linalg.eigvalsh(out)[:, 0] <= 0.0)
-    if bad.size:
-        k = int(bad[0])
-        raise IllConditionedWeightError(
-            f"weight update for user {k} produced a non positive definite matrix; "
-            f"argument condition ~ {cond[k]:.3e}")
-    return out
+            f"weight update for user {k} is not positive definite "
+            f"(cond ~ {np.linalg.cond(t[k]):.3e}); receivers are not MMSE-consistent "
+            "with the precoders") from exc
 
 
 def project_sum_power(precoders, p_max: float) -> np.ndarray:
@@ -395,15 +391,13 @@ def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weight
     V_k = Pi(Vhat_k - gamma * grad_k(Vhat)).
 
     Matrix multiplications only: every user's gradient comes from one
-    factored product (:meth:`PrecoderFactor.gradient`).
+    factored product (:func:`~.objective.gradient_v`).
     """
     if not (gamma >= 0):
         raise ConfigError("gamma must be nonnegative")
     vhat = np.asarray(extrapolated)
-    K, _, d = vhat.shape
-    factor = precoder_factor(channels, receivers, weight_matrices, weights)
-    grad = factor.gradient(flatten_users(vhat), np.eye(K * d, dtype=np.complex128))
-    return project_sum_power(vhat - gamma * split_users(grad, K, d), p_max)
+    grad = gradient_v(receivers, weight_matrices, vhat, channels, weights)
+    return project_sum_power(vhat - gamma * grad, p_max)
 
 
 def extrapolate(current, previous, omega: float) -> np.ndarray:
@@ -546,7 +540,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         us[s:], ws[s:], v_hats[s:], h, weights, sigma2).tolist()
     f_after_v = wmmse_objective(us, ws, vs, h, weights, sigma2).tolist()
     records = tuple(
-        IterationRecord(t=t, wsr_bits=snap.wsr_bits, f_value=fv, total_power=snap.total_power,
+        IterationRecord(t=t, wsr_bits=snap.wsr_bits, total_power=snap.total_power,
                         stage=stage, f_after_u=fu, f_after_w=fw, f_after_v=fv, rel_change=rel)
         for t, ((snap, rel, stage), fu, fw, fv)
         in enumerate(zip(steps, f_after_u, f_after_w, f_after_v), start=1))

@@ -60,10 +60,10 @@ def test_criterion_2_monotone_descent():
         res = wb.solve(ch, cfg, opts)
         f_prev = math.inf
         for rec in res.trace:
-            worst_rise = max(worst_rise, rec.f_value - f_prev)
+            worst_rise = max(worst_rise, rec.f_after_v - f_prev)
             worst_chain = max(worst_chain, rec.f_after_w - rec.f_after_u,
                               rec.f_after_v - rec.f_after_w)
-            f_prev = rec.f_value
+            f_prev = rec.f_after_v
     ok = worst_rise <= 1e-9 and worst_chain <= 1e-9
     assert report(2, "monotone descent", ok,
                   f"max f rise {worst_rise:.2e}, max chain violation {worst_chain:.2e}")
@@ -111,8 +111,9 @@ def test_criterion_4_gradient_correctness():
             return wb.wmmse_objective(u, w, vv, ch, cfg.weight_vector, ch.noise_power)
 
         fd = wb.finite_diff_gradient(objective, v)
+        grad = wb.gradient_v(u, w, v, ch, cfg.weight_vector)
         for k in range(cfg.K):
-            g = wb.gradient_v(u, w, v[k], ch, cfg.weight_vector, k)
+            g = grad[k]
             worst = max(worst, float(np.linalg.norm(g - fd[k]) / np.linalg.norm(g)))
     ok = worst < 1e-6
     assert report(4, "gradient correctness", ok, f"worst relative error {worst:.3e}")

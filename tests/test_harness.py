@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -23,15 +24,6 @@ class TestParseExperiment:
         assert spec.base.p_max == 10.0
         assert spec.n_realizations == 20
         assert spec.solver.algorithm is wb.Algorithm.WMMSE
-
-    def test_table_defaults_at_snr20(self):
-        spec = wb.parse_experiment(spec_text(snr_db=20, algorithm="ammmse"))
-        assert spec.solver.gamma == 0.003
-        assert spec.solver.omega == 0.8
-
-    def test_table_defaults_at_snr10(self):
-        spec = wb.parse_experiment(spec_text(algorithm="ammmse"))
-        assert (spec.solver.omega, spec.solver.gamma) == (0.8, 0.05)
 
     def test_explicit_gamma_kept(self):
         spec = wb.parse_experiment(spec_text(algorithm="ammmse", gamma=0.2, omega=0.1))
@@ -143,8 +135,53 @@ class TestEmitAndReadTrace:
         back = wb.read_trace(path)
         assert back == res.trace  # exact float equality, +inf included
 
+    def test_f_nats_column_is_f_after_v(self, tmp_path):
+        res = self._result()
+        path = tmp_path / "trace.csv"
+        wb.emit_trace(res, path)
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        assert [row[2] for row in rows] == [repr(rec.f_after_v) for rec in res.trace]
+        # A row whose f_nats differs from its f_after_v is rejected by name.
+        rows[1][2] = repr(float(rows[1][2]) + 1.0)
+        path.write_text("\n".join([wb.harness.TRACE_HEADER] + [",".join(r) for r in rows]) + "\n")
+        with pytest.raises(ConfigError, match="f_nats") as info:
+            wb.read_trace(path)
+        assert ",".join(rows[1]) in str(info.value)
+
+
+def _point_steps(tmp_path, argv=(), **overrides):
+    """(omega, gamma) of every point of summary.json after `wsrbeam run`, and
+    of the spec's own solver dict."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(spec_text(n_realizations=1, max_iters=3, **overrides))
+    out = tmp_path / "out"
+    assert cli_main(["run", str(cfg_path), "--out", str(out), "--workers", "1", *argv]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    steps = [(p["solver"]["omega"], p["solver"]["gamma"]) for p in doc["points"]]
+    return steps, (doc["spec"]["solver"]["omega"], doc["spec"]["solver"]["gamma"])
+
 
 class TestRunExperiment:
+    # The (omega, gamma) table is applied per point, where the solve runs:
+    # the spec's solver dict records what was asked, each point what ran.
+    def test_table_defaults_at_snr20(self, tmp_path):
+        steps, asked = _point_steps(tmp_path, snr_db=20, algorithm="ammmse")
+        assert steps == [(0.8, 0.003)] and asked == (None, None)
+
+    def test_table_defaults_at_snr10(self, tmp_path):
+        steps, asked = _point_steps(tmp_path, algorithm="ammmse")
+        assert steps == [(0.8, 0.05)] and asked == (None, None)
+
+    def test_algo_override_records_the_step_that_ran(self, tmp_path):
+        # An A-MMMSE spec run as WMMSE records no step; run as written, the
+        # 20 dB table step (0.8, 0.003).
+        spec = dict(snr_db=20, algorithm="ammmse", sweep={"K": [2, 3]})
+        steps, _ = _point_steps(tmp_path / "wmmse", ["--algo", "wmmse"], **spec)
+        assert steps == [(None, None)] * 2
+        steps, _ = _point_steps(tmp_path / "ammmse", **spec)
+        assert steps == [(0.8, 0.003)] * 2
+
     def test_byte_identical_reruns(self, tmp_path):
         text = spec_text(n_realizations=1, max_iters=50)
         import dataclasses
@@ -316,6 +353,30 @@ class TestCli:
         rc = cli_main(["run", str(cfg_path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_failed_oracle_exits_1(self, tmp_path, capsys, monkeypatch):
+        # The same run and the same output, with one bound scan made to fail:
+        # exit status 0 becomes 1.
+        import wsrbeam.harness as harness
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(spec_text(n_realizations=1, max_iters=20))
+        argv = ["run", str(cfg_path), "--workers", "1", "--verify", "--out"]
+        assert cli_main(argv + [str(tmp_path / "pass")]) == 0
+        passed = capsys.readouterr().out
+        real_scan = harness.check_lemma_bounds
+
+        def failing_scan(*args, **kwargs):
+            report = real_scan(*args, **kwargs)
+            return dataclasses.replace(report, max_rel_error=1.0, max_abs_error=1.0,
+                                       passed=False, detail="violated: receiver_norm")
+
+        monkeypatch.setattr(harness, "check_lemma_bounds", failing_scan)
+        assert cli_main(argv + [str(tmp_path / "fail")]) == 1
+        failed = capsys.readouterr().out
+        assert "oracle lemma_bounds[base]: FAIL" in failed
+        assert "oracle gradient_finite_difference: pass" in failed
+        assert (tmp_path / "fail" / "summary.json").exists()
+        assert failed.splitlines()[0] == passed.splitlines()[0]
 
 
 def test_programming_error_in_solve_propagates(tmp_path, monkeypatch):

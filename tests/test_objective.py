@@ -10,33 +10,7 @@ import pytest
 import wsrbeam as wb
 from wsrbeam.errors import ConfigError, ObjectiveDomainError
 
-from conftest import make_system, mmse_blocks
-
-
-def naive_mse_matrix(h_k, u_k, v_stack, sigma2, k):
-    """Literal two-term expansion of the MSE matrix, kept independent of the
-    library implementation (explicit loops, no shared helpers)."""
-    d = v_stack.shape[2]
-    eye = np.eye(d, dtype=complex)
-    t = eye - u_k.conj().T @ (h_k @ v_stack[k])
-    cov = sigma2 * np.eye(h_k.shape[0], dtype=complex)
-    for j in range(v_stack.shape[0]):
-        if j != k:
-            hv = h_k @ v_stack[j]
-            cov = cov + hv @ hv.conj().T
-    return t @ t.conj().T + u_k.conj().T @ cov @ u_k
-
-
-def naive_user_rate(h_k, v_stack, sigma2, k):
-    """Rate of user k from its own interference-plus-noise covariance, built
-    by an explicit loop over the other users (independent of the library)."""
-    cov = sigma2 * np.eye(h_k.shape[0], dtype=complex)
-    for j in range(v_stack.shape[0]):
-        if j != k:
-            hv = h_k @ v_stack[j]
-            cov = cov + hv @ hv.conj().T
-    own = h_k @ v_stack[k]
-    return max(np.linalg.slogdet(cov + own @ own.conj().T)[1] - np.linalg.slogdet(cov)[1], 0.0)
+from conftest import make_system, mmse_blocks, naive_mse_matrix, naive_user_rate
 
 
 def random_feasible(rng, cfg):
@@ -49,8 +23,8 @@ class TestMseMatrix:
     def test_zero_receiver_gives_identity(self, small_system):
         cfg, ch = small_system
         v = random_feasible(np.random.default_rng(0), cfg)
-        u0 = np.zeros((cfg.N, cfg.d), dtype=complex)
-        e = wb.mse_matrix(ch.channels[0], u0, v, ch.noise_power, 0)
+        u0 = np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex)
+        e = wb.mse_matrix(ch, u0, v, ch.noise_power)[0]
         np.testing.assert_allclose(e, np.eye(cfg.d), atol=1e-14)
 
     def test_zero_precoders_leave_noise_term(self, small_system):
@@ -58,7 +32,7 @@ class TestMseMatrix:
         rng = np.random.default_rng(1)
         u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
         v = wb.PrecoderSet(np.zeros((cfg.K, cfg.M, cfg.d), dtype=complex))
-        e = wb.mse_matrix(ch.channels[1], u, v, ch.noise_power, 1)
+        e = wb.mse_matrix(ch, np.tile(u, (cfg.K, 1, 1)), v, ch.noise_power)[1]
         expected = np.eye(cfg.d) + ch.noise_power * (u.conj().T @ u)
         np.testing.assert_allclose(e, expected, atol=1e-12)
 
@@ -69,7 +43,7 @@ class TestMseMatrix:
             v = random_feasible(rng, cfg)
             u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
             k = seed % cfg.K
-            e = wb.mse_matrix(ch.channels[k], u, v, ch.noise_power, k)
+            e = wb.mse_matrix(ch, np.tile(u, (cfg.K, 1, 1)), v, ch.noise_power)[k]
             expected = naive_mse_matrix(ch.channels[k], u, v, ch.noise_power, k)
             np.testing.assert_allclose(e, expected, atol=1e-12)
 
@@ -79,7 +53,7 @@ class TestMseMatrix:
             cfg, ch = make_system(seed=seed, M=6, N=2, K=4, d=2)
             v = random_feasible(rng, cfg)
             u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
-            e = wb.mse_matrix(ch.channels[0], u, v, ch.noise_power, 0)
+            e = wb.mse_matrix(ch, np.tile(u, (cfg.K, 1, 1)), v, ch.noise_power)[0]
             assert np.max(np.abs(e - e.conj().T)) <= 1e-10
             assert np.linalg.eigvalsh(e)[0] >= -1e-12
 
@@ -90,14 +64,14 @@ class TestUserRate:
         rng = np.random.default_rng(4)
         v = random_feasible(rng, cfg).copy()
         v[0] = 0.0
-        assert wb.user_rate(ch.channels[0], wb.PrecoderSet(v), ch.noise_power, 0) == 0.0
+        assert wb.user_rates(ch, wb.PrecoderSet(v), ch.noise_power)[0] == 0.0
 
     def test_diagonal_single_user(self):
         # K=1, H = I, V = sqrt(p/d) I, sigma^2 = 1 -> R = d ln(1 + p/d)
         d, p = 3, 6.0
         h = np.eye(d, dtype=complex)
         v = np.sqrt(p / d) * np.eye(d, dtype=complex)
-        rate = wb.user_rate(h, wb.PrecoderSet(v[None]), 1.0, 0)
+        rate = wb.user_rates(h[None], wb.PrecoderSet(v[None]), 1.0)[0]
         assert rate == pytest.approx(d * math.log(1 + p / d), rel=1e-12)
 
     def test_scalar_sinr_closed_form(self):
@@ -111,7 +85,7 @@ class TestUserRate:
                 sig = abs(h[k, 0] @ v[k, :, 0]) ** 2
                 interf = abs(h[k, 0] @ v[j, :, 0]) ** 2
                 expected = math.log(1 + sig / (interf + sigma2))
-                got = wb.user_rate(h[k], wb.PrecoderSet(v), sigma2, k)
+                got = wb.user_rates(h, wb.PrecoderSet(v), sigma2)[k]
                 assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -126,7 +100,7 @@ class TestWeightedSumRate:
         cfg, ch = make_system(seed=6, M=4, N=2, K=1, d=2, weights=(2.5,))
         v = random_feasible(np.random.default_rng(6), cfg)
         snap = wb.weighted_sum_rate(ch, v, cfg.weight_vector)
-        rate = wb.user_rate(ch.channels[0], v, ch.noise_power, 0)
+        rate = wb.user_rates(ch, v, ch.noise_power)[0]
         assert snap.wsr_nats == pytest.approx(2.5 * rate, rel=1e-14)
 
     def test_decomposes_user_by_user(self):
@@ -271,15 +245,15 @@ class TestGradient:
         v = random_feasible(np.random.default_rng(12), cfg)
         u = wb.ReceiverSet(np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex))
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
-        g = wb.gradient_v(u, eye, v[0], ch, cfg.weight_vector, 0)
+        g = wb.gradient_v(u, eye, v, ch, cfg.weight_vector)[0]
         np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
     def test_zero_precoder_linear_term(self, small_system):
         cfg, ch = small_system
         v = random_feasible(np.random.default_rng(13), cfg)
         u, w = mmse_blocks(ch, v)
-        zero = np.zeros((cfg.M, cfg.d), dtype=complex)
-        g = wb.gradient_v(u, w, zero, ch, cfg.weight_vector, 1)
+        zero = np.zeros((cfg.K, cfg.M, cfg.d), dtype=complex)
+        g = wb.gradient_v(u, w, zero, ch, cfg.weight_vector)[1]
         expected = -2.0 * cfg.weights[1] * (ch.channels[1].conj().T @ u[1]
                                             @ w[1])
         np.testing.assert_allclose(g, expected, atol=1e-12)
@@ -295,8 +269,9 @@ class TestGradient:
                 return wb.wmmse_objective(u, w, vv, ch, cfg.weight_vector, ch.noise_power)
 
             fd = wb.finite_diff_gradient(objective, v)
+            grad = wb.gradient_v(u, w, v, ch, cfg.weight_vector)
             for k in range(cfg.K):
-                g = wb.gradient_v(u, w, v[k], ch, cfg.weight_vector, k)
+                g = grad[k]
                 rel = np.linalg.norm(g - fd[k]) / np.linalg.norm(g)
                 assert rel < 1e-6
 
@@ -364,8 +339,9 @@ class TestAnalysisProperties:
                 wb.update_receivers(ch, v, ch.noise_power),
             ]
             for u in candidates:
+                mse = wb.mse_matrix(ch, u, v, ch.noise_power)
                 for k in range(cfg.K):
-                    e = wb.mse_matrix(ch.channels[k], u[k], v, ch.noise_power, k)
+                    e = mse[k]
                     assert np.linalg.eigvalsh(e)[0] >= b.ek_floor - 1e-9
 
     def test_gradient_factor_spectral_bound(self):
@@ -387,9 +363,10 @@ class TestAnalysisProperties:
             va = random_feasible(rng, cfg)
             vb = random_feasible(rng, cfg)
             diff = 0.0
+            grad_a = wb.gradient_v(u, w, va, ch, cfg.weight_vector)
+            grad_b = wb.gradient_v(u, w, vb, ch, cfg.weight_vector)
             for k in range(cfg.K):
-                ga = wb.gradient_v(u, w, va[k], ch, cfg.weight_vector, k)
-                gb = wb.gradient_v(u, w, vb[k], ch, cfg.weight_vector, k)
+                ga, gb = grad_a[k], grad_b[k]
                 diff += np.linalg.norm(ga - gb) ** 2
             dv = np.linalg.norm(va - vb)
             assert math.sqrt(diff) <= (b.l_v + 1e-6) * dv

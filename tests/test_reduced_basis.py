@@ -73,8 +73,9 @@ def test_factored_gradient_matches_dense_formula(M, K, d):
         gram, targets = dense_gram(cfg, ch, u, w), dense_targets(cfg, ch, u, w)
         gamma = 0.3 / np.linalg.norm(gram, 2)
         dense = np.stack([2.0 * gram @ v[k] - 2.0 * targets[k] for k in range(K)])
+        grad = wb.gradient_v(u, w, v, ch, cfg.weight_vector)
         for k in range(K):
-            g = wb.gradient_v(u, w, v[k], ch, cfg.weight_vector, k)
+            g = grad[k]
             assert np.linalg.norm(g - dense[k]) <= 1e-12 * np.linalg.norm(dense[k])
         stepped = wb.pgd_precoder_step(v, u, w, ch, cfg.weight_vector, gamma, cfg.p_max)
         expected = wb.project_sum_power(wb.PrecoderSet(v - gamma * dense), cfg.p_max)

@@ -9,7 +9,7 @@ from wsrbeam.errors import ConfigError
 from wsrbeam.linalg import hermitianize
 from wsrbeam.verify import _FD_CHUNK
 
-from conftest import make_system, mmse_blocks
+from conftest import make_system, mmse_blocks, naive_mse_matrix
 
 
 def reference_lemma_scan(channels, trace, bounds, weights=None):
@@ -34,7 +34,7 @@ def reference_lemma_scan(channels, trace, bounds, weights=None):
         v = np.asarray(it.precoders)
         factor = np.zeros((h.shape[2], h.shape[2]), dtype=np.complex128)
         for k in range(K):
-            e = wb.mse_matrix(h[k], u[k], v, sigma2, k)
+            e = naive_mse_matrix(h[k], u[k], v, sigma2, k)
             lam_min = float(np.linalg.eigvalsh(e)[0])
             worst["mse_eigenvalue_floor"] = max(worst["mse_eigenvalue_floor"],
                                                 limits["mse_eigenvalue_floor"] - lam_min)
@@ -187,7 +187,7 @@ class TestSingleUserWaterfilling:
                 v = wb.project_sum_power(
                     wb.PrecoderSet(rng.standard_normal((1, cfg.M, cfg.d))
                                    + 1j * rng.standard_normal((1, cfg.M, cfg.d))), cfg.p_max)
-                assert rate >= wb.user_rate(h, v, ch.noise_power, 0) - 1e-9
+                assert rate >= wb.user_rates(ch, v, ch.noise_power)[0] - 1e-9
 
     def test_budget_fully_used(self):
         rng = np.random.default_rng(35)
@@ -208,8 +208,8 @@ class TestCheckLemmaBounds:
         cfg, ch = small_system
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
         v = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
-        u0 = np.zeros((cfg.N, cfg.d), dtype=complex)
-        e = wb.mse_matrix(ch.channels[0], u0, v, ch.noise_power, 0)
+        u0 = np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex)
+        e = wb.mse_matrix(ch, u0, v, ch.noise_power)[0]
         assert np.linalg.eigvalsh(e)[0] == pytest.approx(1.0, abs=1e-12)
         assert 1.0 >= bounds.ek_floor
 
