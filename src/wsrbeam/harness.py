@@ -28,7 +28,6 @@ from .model import (
     RNG_ALGORITHM,
     Stage,
     SystemConfig,
-    compute_noise_power,
     generate_channels,
     init_precoders,
     real_value,
@@ -82,6 +81,8 @@ class ExperimentSpec:
         for name, values in self.sweep:
             if name not in _SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {name!r}")
+            if [other for other, _ in self.sweep].count(name) > 1:
+                raise ConfigError(f"sweep parameter {name!r} is named more than once")
             if len(values) == 0:
                 raise ConfigError(f"sweep over {name} has no values")
             for v in values:
@@ -256,7 +257,7 @@ def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, SystemConfig]]:
 
 
 def _solve_one(args):
-    """One realization: generate channels, derive noise power, solve.
+    """One realization: generate the channels (with their noise power), solve.
 
     Module-level so it can cross a process pool; returns (index, result,
     wall seconds of the solve alone, error message or None).  The result
@@ -265,8 +266,6 @@ def _solve_one(args):
     index, config, options, verify = args
     try:
         channels = generate_channels(config)
-        sigma2 = compute_noise_power(channels, config.snr_db, config)
-        channels = channels.with_noise_power(sigma2)
         start = time.perf_counter()
         result = solve(channels, config, options)
         wall = time.perf_counter() - start
@@ -366,15 +365,13 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
     if config.K * config.M * config.d > _FD_COORD_BUDGET:
         return None
     channels = generate_channels(config)
-    sigma2 = compute_noise_power(channels, config.snr_db, config)
-    channels = channels.with_noise_power(sigma2)
     weights = config.weight_vector
     precoders = project_sum_power(init_precoders(config), config.p_max)
-    receivers = update_receivers(channels, precoders, sigma2)
+    receivers = update_receivers(channels, precoders, channels.noise_power)
     wmats = update_weight_matrices(channels, receivers, precoders)
 
     def objective(v):
-        return wmmse_objective(receivers, wmats, v, channels, weights, sigma2)
+        return wmmse_objective(receivers, wmats, v, channels, weights, channels.noise_power)
 
     fd = finite_diff_gradient(objective, precoders)
     analytic = gradient_v(receivers, wmats, precoders, channels, weights)
@@ -462,8 +459,6 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
                 n_converged += 1
             if verify:
                 channels = generate_channels(cfg_r)
-                channels = channels.with_noise_power(
-                    compute_noise_power(channels, cfg_r.snr_db, cfg_r))
                 bounds = compute_bounds(channels, cfg_r.weight_vector, cfg_r.p_max,
                                         channels.noise_power)
                 lemma_reports.append(

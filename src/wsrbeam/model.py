@@ -3,10 +3,11 @@
 The matrix sets validate their (K, ., .) stacks at the public API; the
 solvers work on plain arrays, and ``np.asarray`` of a set is its stack.
 
-All generation is a pure function of (config, seed).  Channel matrices and
-initial precoders are drawn from two independent counter-based Philox
-streams, so the precoder initialization can be varied while the channel
-realization is held fixed across algorithm comparisons.
+All generation is a pure function of (config, seed); a channel draw carries
+the noise power of the config's SNR.  Channel matrices and initial precoders
+are drawn from two independent counter-based Philox streams, so the precoder
+initialization can be varied while the channel realization is held fixed
+across algorithm comparisons.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ _CHANNEL_STREAM = 0xC4A77E1
 _INIT_STREAM = 0x1417C0DE
 
 HERMITIAN_TOL = 1e-10
-POWER_SLACK = 1e-12
 
 
 def real_value(name: str, value) -> float:
@@ -107,14 +107,10 @@ def total_power(precoders: np.ndarray) -> float:
     return float(np.real(np.vdot(precoders, precoders)))
 
 
-def _matrix_stack(arrays, count: int | None, rows_cols: tuple[int, int] | None, name: str) -> np.ndarray:
+def _matrix_stack(arrays, name: str) -> np.ndarray:
     a = np.array(arrays, dtype=np.complex128, copy=True)
     if a.ndim != 3:
         raise ConfigError(f"{name} must be a stack of matrices, got shape {a.shape}")
-    if count is not None and a.shape[0] != count:
-        raise ConfigError(f"{name} must contain {count} matrices, got {a.shape[0]}")
-    if rows_cols is not None and a.shape[1:] != rows_cols:
-        raise ConfigError(f"{name} matrices must be {rows_cols[0]}x{rows_cols[1]}, got {a.shape[1:]}")
     if not np.all(np.isfinite(a)):
         raise ConfigError(f"{name} contains non-finite entries")
     a.flags.writeable = False
@@ -128,18 +124,17 @@ def _as_array(stack: np.ndarray, dtype, copy) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelSet:
-    """Per-user channel matrices H_k (N x M) plus the common noise power."""
+    """Per-user channel matrices H_k (N x M) and their common noise power."""
 
     channels: np.ndarray  # (K, N, M)
-    noise_power: float | None = None
+    noise_power: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "channels", _matrix_stack(self.channels, None, None, "channels"))
-        if self.noise_power is not None:
-            s2 = float(self.noise_power)
-            if not (math.isfinite(s2) and s2 > 0):
-                raise ConfigError(f"noise_power must be positive, got {self.noise_power!r}")
-            object.__setattr__(self, "noise_power", s2)
+        object.__setattr__(self, "channels", _matrix_stack(self.channels, "channels"))
+        s2 = real_value("noise_power", self.noise_power)
+        if not (math.isfinite(s2) and s2 > 0):
+            raise ConfigError(f"noise_power must be positive, got {self.noise_power!r}")
+        object.__setattr__(self, "noise_power", s2)
 
     @property
     def K(self) -> int:
@@ -167,7 +162,7 @@ class PrecoderSet:
     precoders: np.ndarray  # (K, M, d)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "precoders", _matrix_stack(self.precoders, None, None, "precoders"))
+        object.__setattr__(self, "precoders", _matrix_stack(self.precoders, "precoders"))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return _as_array(self.precoders, dtype, copy)
@@ -184,7 +179,7 @@ class ReceiverSet:
     receivers: np.ndarray  # (K, N, d)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "receivers", _matrix_stack(self.receivers, None, None, "receivers"))
+        object.__setattr__(self, "receivers", _matrix_stack(self.receivers, "receivers"))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return _as_array(self.receivers, dtype, copy)
@@ -201,7 +196,7 @@ class WeightMatrixSet:
     stage_flag: Stage = Stage.WEIGHTED
 
     def __post_init__(self) -> None:
-        w = _matrix_stack(self.weight_matrices, None, None, "weight_matrices")
+        w = _matrix_stack(self.weight_matrices, "weight_matrices")
         if w.shape[1] != w.shape[2]:
             raise ConfigError(f"weight matrices must be square, got {w.shape[1:]}")
         asym = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))))
@@ -234,26 +229,27 @@ def generate_channels(config: SystemConfig) -> ChannelSet:
 
     Entries have zero mean and unit total variance (real and imaginary parts
     each carry variance 1/2), so E ||H_k||_F^2 = N * M.  The noise power is
-    left unset; see :func:`compute_noise_power`.
+    :func:`compute_noise_power` of the draw at ``config.snr_db``.
     """
     rng = _rng(config.channel_seed, _CHANNEL_STREAM)
     shape = (config.K, config.N, config.M)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
-    return ChannelSet(channels=h)
+    return ChannelSet(h, compute_noise_power(h, config.snr_db, config))
 
 
-def compute_noise_power(channels: ChannelSet, snr_db: float, config: SystemConfig) -> float:
+def compute_noise_power(channels, snr_db: float, config: SystemConfig) -> float:
     """Common noise power giving the requested average per-user receive SNR.
 
     sigma^2 = 10^{(1/K) sum_k log10(||H_k||_F^2 / N)} * 10^{-SNR/10},
-    i.e. the geometric mean of the per-antenna channel gains scaled by the
-    SNR in linear units.
+    i.e. the geometric mean of the per-antenna channel gains of the (K, N, M)
+    stack ``channels`` (an array or a :class:`ChannelSet`) scaled by the SNR
+    in linear units.
     """
-    h = channels.channels
-    fro2 = np.sum(np.abs(h) ** 2, axis=(1, 2))
+    snr_db = real_value("snr_db", snr_db)
+    fro2 = np.sum(np.abs(np.asarray(channels)) ** 2, axis=(1, 2))
     if np.any(fro2 <= 0.0):
         raise DegenerateChannelError("channel matrix with zero Frobenius norm")
-    exponent = float(np.mean(np.log10(fro2 / config.N))) - float(snr_db) / 10.0
+    exponent = float(np.mean(np.log10(fro2 / config.N))) - snr_db / 10.0
     return float(10.0 ** exponent)
 
 

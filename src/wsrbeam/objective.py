@@ -146,8 +146,6 @@ def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
     """alpha @ :func:`user_rates`, with the transmit power."""
-    if channels.noise_power is None:
-        raise ConfigError("channels carry no noise power; call compute_noise_power first")
     v = np.asarray(precoders)
     alpha = np.asarray(weights, dtype=np.float64)
     total = float(alpha @ user_rates(channels, v, channels.noise_power))

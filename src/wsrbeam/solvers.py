@@ -20,11 +20,11 @@ two the exact update.  Each iteration of the loop runs:
      the switch test and A-MMMSE's divergence guard read.
 
 The loop computes only what those decisions need and keeps each iteration's
-blocks (U, W_prev, W, Vhat, V).  The records come after the loop: the
-objective checkpoints of all T trace rows are stacked
+blocks (U, W, Vhat, V).  The records come after the loop, in two stacked
 :func:`~.objective.wmmse_objective` passes over the (T, K, ., .) stacks of
-those blocks (``f_after_w`` is evaluated on the weighted rows only; in the
-unweighted rows it equals ``f_after_u``), and the blocks become the result's
+those blocks: ``f_after_u`` and ``f_after_w`` share one MSE stack at (U, Vhat),
+weighted by W_prev (row t-1's W, the identity before row 1) and by W, and
+``f_after_v`` is the other pass.  The blocks become the result's
 :class:`BlockIterate` records.
 
 No M x M matrix is formed in the iteration loop.  Both precoder updates work
@@ -448,8 +448,6 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     A-MMMSE raises :class:`UnstableParametersError` when the WSR stays below
     half its running maximum for five consecutive iterations.
     """
-    if channels.noise_power is None:
-        raise ConfigError("channels carry no noise power; call compute_noise_power first")
     h = np.asarray(channels)
     if h.shape != (config.K, config.N, config.M):
         raise ConfigError(f"channels have shape (K, N, M) = {h.shape}, but the config "
@@ -468,12 +466,11 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     v_old = v_curr
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
     eye_w.flags.writeable = False  # every unweighted-stage iterate shares it
-    w_prev = eye_w
     weighted = options.algorithm is Algorithm.WMMSE  # the stage latch: once set, to the end
     switch_iteration: int | None = None
     rel = math.inf  # relative WSR change of the last completed iteration
-    # Per iteration: the blocks (U, W_prev, W, Vhat, V) and (WSR, rel change, stage).
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # Per iteration: the blocks (U, W, Vhat, V) and (WSR, rel change, stage).
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     steps: list[tuple[ObjectiveSnapshot, float, Stage]] = []
     running_max = -math.inf
     drop_streak = 0
@@ -505,7 +502,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
 
         snap = weighted_sum_rate(channels, v_new, weights)
         rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, steps[-1][0].wsr_nats)
-        blocks.append((u, w_prev, w, v_hat, v_new))
+        blocks.append((u, w, v_hat, v_new))
         steps.append((snap, rel, stage))
 
         if first_order:
@@ -520,7 +517,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
                     f"consecutive iterations: gamma={gamma!r}, omega={omega!r} are "
                     "too aggressive for this instance")
 
-        v_old, v_curr, w_prev = v_curr, v_new, w
+        v_old, v_curr = v_curr, v_new
         if weighted and rel <= options.eps2:
             converged = True
             break
@@ -529,15 +526,12 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         bounds = compute_bounds(h, weights, config.p_max, sigma2)
     residual = _stationarity_residual(
         h, v_curr, weights, sigma2, config.p_max, bounds, eye_w, weighted=weighted)
-    # The objective checkpoints after each block update of every iteration:
-    # one stacked pass each over the (T, K, ., .) stacks of the iterates.
-    us, w_prevs, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
-    f_after_u = wmmse_objective(us, w_prevs, v_hats, h, weights, sigma2).tolist()
-    # The unweighted rows come first and have W = W_prev = I: there the
-    # weight update leaves the objective where the receiver update left it.
-    s = sum(stage is Stage.UNWEIGHTED for _, _, stage in steps)
-    f_after_w = f_after_u[:s] + wmmse_objective(
-        us[s:], ws[s:], v_hats[s:], h, weights, sigma2).tolist()
+    # The objective checkpoints of every iteration.  Row t's W_prev is row t-1's
+    # W, so f_after_u and f_after_w are one pass over a (2, T, K, d, d) weight stack.
+    us, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
+    w_prevs = np.concatenate([eye_w[None], ws[:-1]])
+    f_after_u, f_after_w = wmmse_objective(
+        us, np.stack([w_prevs, ws]), v_hats, h, weights, sigma2).tolist()
     f_after_v = wmmse_objective(us, ws, vs, h, weights, sigma2).tolist()
     records = tuple(
         IterationRecord(t=t, wsr_bits=snap.wsr_bits, total_power=snap.total_power,
@@ -552,6 +546,6 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         stationarity_residual=residual,
         switch_iteration=switch_iteration,
         iterates=tuple(BlockIterate(u, w, v, stage)
-                       for (u, _, w, _, v), (_, _, stage) in zip(blocks, steps)),
+                       for (u, w, _, v), (_, _, stage) in zip(blocks, steps)),
     )
 

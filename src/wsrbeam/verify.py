@@ -208,11 +208,8 @@ def check_lemma_bounds(channels: ChannelSet, trace: SolveResult, bounds,
     """
     if not trace.iterates:
         raise ConfigError("solve result carries no recorded iterates")
-    if channels.noise_power is None:
-        raise ConfigError("channels carry no noise power")
     sigma2 = channels.noise_power
     h = channels.channels
-    K = h.shape[0]
     d = np.asarray(trace.iterates[0].weight_matrices).shape[-1]
     limits = {
         "mse_eigenvalue_floor": bounds.ek_floor - 1e-9,
@@ -220,7 +217,7 @@ def check_lemma_bounds(channels: ChannelSet, trace: SolveResult, bounds,
         "weight_norm": d / bounds.ek_floor ** 2 + 1e-6,
         "gradient_factor_norm": bounds.l_v + 1e-6,
     }
-    alpha = np.ones(K) if weights is None else np.asarray(weights, dtype=np.float64)
+    alpha = np.ones(h.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     chunks = [_bound_excess(h, sigma2, alpha, limits, trace.iterates[start:start + _SCAN_CHUNK])
               for start in range(0, len(trace.iterates), _SCAN_CHUNK)]
     worst = {name: max(chunk[name] for chunk in chunks) for name in limits}

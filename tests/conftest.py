@@ -8,9 +8,7 @@ def make_system(seed=0, M=8, N=2, K=3, d=2, snr_db=10.0, p_max=10.0, weights=Non
     """One ready-to-solve (config, channels-with-noise) pair."""
     cfg = wb.SystemConfig(M=M, N=N, K=K, d=d, snr_db=snr_db, p_max=p_max,
                           weights=weights, channel_seed=seed, init_seed=seed + 1000)
-    ch = wb.generate_channels(cfg)
-    ch = ch.with_noise_power(wb.compute_noise_power(ch, cfg.snr_db, cfg))
-    return cfg, ch
+    return cfg, wb.generate_channels(cfg)
 
 
 def mmse_blocks(ch, precoders):

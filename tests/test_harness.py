@@ -64,6 +64,14 @@ class TestParseExperiment:
         with pytest.raises(ConfigError, match="sweep"):
             wb.parse_experiment(spec_text(sweep={"d": [1, 2]}))
 
+    @pytest.mark.parametrize("name, first, second", [("K", [2, 4], [5]),
+                                                     ("snr_db", [0, 10], [20])])
+    def test_sweep_parameter_named_twice_rejected(self, name, first, second):
+        # Without the check, the second list overrides the first in every point:
+        # [["K", [2, 4]], ["K", [5]]] would label K2_K5 and K4_K5, both solving K = 5.
+        with pytest.raises(ConfigError, match=f"{name!r} is named more than once"):
+            wb.parse_experiment(spec_text(sweep=[[name, first], [name, second]]))
+
     @pytest.mark.parametrize("field, value", [
         ("M", 16.7), ("n_realizations", 2.9), ("max_iters", 50.5), ("n_realizations", True),
         ("channel_seed", 1.5), ("parallel_workers", "2"), ("d", False),
@@ -94,6 +102,15 @@ class TestParseExperiment:
 def test_wrongly_typed_value_named(field, value):
     with pytest.raises(ConfigError, match=field):
         wb.parse_experiment(spec_text(algorithm="ammmse", **{field: value}))
+
+
+def test_cli_exits_2_on_repeated_sweep_parameter(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(spec_text(sweep=[["K", [2, 4]], ["K", [5]]]))
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'K'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exits_2_on_wrongly_typed_value(tmp_path, capsys):

@@ -48,7 +48,14 @@ class TestGenerateChannels:
         cfg = wb.SystemConfig(M=4, N=2, K=3, d=2)
         ch = wb.generate_channels(cfg)
         assert ch.channels.shape == (3, 2, 4)
-        assert ch.noise_power is None
+        assert ch.noise_power == wb.compute_noise_power(ch, cfg.snr_db, cfg)
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
+    def test_noise_power_of_its_own_draw(self, snr_db):
+        cfg = wb.SystemConfig(M=8, N=2, K=4, d=2, snr_db=snr_db, channel_seed=5)
+        ch = wb.generate_channels(cfg)
+        expected = wb.compute_noise_power(ch.channels, snr_db, cfg)
+        assert np.float64(ch.noise_power).tobytes() == np.float64(expected).tobytes()
 
     def test_different_seeds_differ(self):
         a = wb.generate_channels(wb.SystemConfig(M=4, N=2, K=2, d=1, channel_seed=0))
@@ -85,7 +92,7 @@ class TestNoisePower:
         h = np.zeros((K, N, M), dtype=np.complex128)
         for k in range(K):
             h[k, :, :N] = np.eye(N)
-        return wb.ChannelSet(h)
+        return h
 
     def test_snr_zero_db(self):
         cfg = wb.SystemConfig(M=6, N=2, K=3, d=1)
@@ -115,7 +122,18 @@ class TestNoisePower:
         h[0, 0, 0] = 1.0
         cfg = wb.SystemConfig(M=4, N=2, K=2, d=1)
         with pytest.raises(DegenerateChannelError):
-            wb.compute_noise_power(wb.ChannelSet(h), 10.0, cfg)
+            wb.compute_noise_power(h, 10.0, cfg)
+
+    def test_array_and_channel_set_agree(self):
+        cfg, ch = make_system(seed=2)
+        assert (wb.compute_noise_power(ch, 3.0, cfg)
+                == wb.compute_noise_power(np.asarray(ch), 3.0, cfg))
+
+    @pytest.mark.parametrize("snr_db", [True, "10", None, [10.0]])
+    def test_non_real_snr_rejected(self, snr_db):
+        cfg, ch = make_system()
+        with pytest.raises(ConfigError, match="snr_db"):
+            wb.compute_noise_power(ch, snr_db, cfg)
 
 
 class TestInitPrecoders:
@@ -153,12 +171,22 @@ class TestMatrixSets:
         h = np.ones((1, 2, 2), dtype=np.complex128)
         h[0, 0, 0] = np.nan
         with pytest.raises(ConfigError):
-            wb.ChannelSet(h)
+            wb.ChannelSet(h, noise_power=1.0)
 
     def test_channelset_noise_power_positive(self):
         h = np.ones((1, 2, 2), dtype=np.complex128)
         with pytest.raises(ConfigError):
             wb.ChannelSet(h, noise_power=0.0)
+
+    def test_channelset_requires_noise_power(self):
+        with pytest.raises(TypeError, match="noise_power"):
+            wb.ChannelSet(np.ones((1, 2, 2), dtype=np.complex128))
+
+    @pytest.mark.parametrize("noise_power", [True, "0.5", None, math.inf, math.nan])
+    def test_channelset_noise_power_must_be_a_positive_real(self, noise_power):
+        h = np.ones((1, 2, 2), dtype=np.complex128)
+        with pytest.raises(ConfigError, match="noise_power"):
+            wb.ChannelSet(h, noise_power=noise_power)
 
     def test_arrays_locked(self):
         cfg = wb.SystemConfig(M=4, N=2, K=2, d=1)

@@ -474,8 +474,8 @@ class TestRunAmmmse:
         rng = np.random.default_rng(3)
         h1 = (rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))) * np.sqrt(0.5)
         cfg = wb.SystemConfig(M=6, N=1, K=2, d=1, snr_db=30.0, channel_seed=0, init_seed=0)
-        ch = wb.ChannelSet(np.stack([h1, h1]))
-        ch = ch.with_noise_power(wb.compute_noise_power(ch, cfg.snr_db, cfg))
+        h = np.stack([h1, h1])
+        ch = wb.ChannelSet(h, wb.compute_noise_power(h, cfg.snr_db, cfg))
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=1000.0, omega=0.9,
                                 eps1=1e-8, eps2=1e-10, max_iters=300)
         with pytest.raises(UnstableParametersError, match="gamma"):
