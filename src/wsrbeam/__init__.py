@@ -39,9 +39,7 @@ from .objective import (
 )
 from .solvers import (
     GAMMA_SAFE,
-    STEP_DEFAULTS_BY_SNR,
     Algorithm,
-    BisectionResult,
     BlockIterate,
     IterationRecord,
     SolveResult,
@@ -58,7 +56,6 @@ from .solvers import (
 )
 from .verify import (
     OracleReport,
-    ReferenceSolution,
     check_lemma_bounds,
     finite_diff_gradient,
     reference_subproblem_solver,
@@ -66,8 +63,6 @@ from .verify import (
 )
 from .harness import (
     ExperimentSpec,
-    PointSummary,
-    RunSummary,
     emit_trace,
     parse_experiment,
     read_trace,

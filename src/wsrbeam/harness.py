@@ -30,6 +30,7 @@ from .model import (
     SystemConfig,
     generate_channels,
     init_precoders,
+    integer_value,
     real_value,
 )
 from .objective import compute_bounds, gradient_v, wmmse_objective
@@ -48,10 +49,6 @@ TRACE_HEADER = "iter,wsr_bpcu,f_nats,power,stage,f_after_u,f_after_w,f_after_v,r
 
 _SWEEPABLE = ("K", "M", "snr_db")
 
-_CONFIG_KEYS = {"M", "N", "K", "d", "p_max", "snr_db", "weights", "channel_seed", "init_seed"}
-_SOLVER_KEYS = {"algorithm", "gamma", "omega", "eps1", "eps2", "max_iters"}
-_SPEC_KEYS = {"n_realizations", "sweep", "parallel_workers", "output_dir"}
-
 # Coordinate budget above which the finite-difference oracle is skipped in
 # --verify runs: it evaluates the objective at 4 * K * M * d points, up to
 # verify._FD_CHUNK of them per stacked call.
@@ -60,7 +57,14 @@ _FD_COORD_BUDGET = 1024
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: base system, solver options, sweep grid, and I/O."""
+    """One experiment: base system, solver options, sweep grid, and I/O.
+
+    ``sweep`` maps any of K, M and snr_db to a list of values, as a dict or
+    as a sequence of ``[name, values]`` pairs, and is kept as a tuple of
+    ``(name, values)`` pairs; None means no sweep.  The integer fields take
+    what :func:`~.model.integer_value` takes, ``output_dir`` a string or a
+    path, and any other value raises a ConfigError naming the field.
+    """
 
     base: SystemConfig
     solver: SolverOptions
@@ -70,14 +74,23 @@ class ExperimentSpec:
     output_dir: Path = Path("out")
 
     def __post_init__(self) -> None:
-        if self.n_realizations < 1:
-            raise ConfigError("n_realizations must be at least 1")
-        if self.parallel_workers < 0:
-            raise ConfigError("parallel_workers must be nonnegative")
+        object.__setattr__(self, "n_realizations",
+                           integer_value("n_realizations", self.n_realizations, 1))
+        object.__setattr__(self, "parallel_workers",
+                           integer_value("parallel_workers", self.parallel_workers, 0))
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        sweep = () if self.sweep is None else self.sweep
+        if isinstance(sweep, dict):
+            sweep = tuple(sweep.items())
+        if not (isinstance(sweep, (list, tuple)) and all(
+                isinstance(item, (list, tuple)) and len(item) == 2
+                and isinstance(item[1], (list, tuple)) for item in sweep)):
+            raise ConfigError("sweep must map parameter names to value lists")
         object.__setattr__(self, "sweep", tuple(
             (name, tuple(real_value(f"sweep value for {name}", v) for v in values))
-            for name, values in self.sweep))
+            for name, values in sweep))
         for name, values in self.sweep:
             if name not in _SWEEPABLE:
                 raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {name!r}")
@@ -88,94 +101,51 @@ class ExperimentSpec:
             for v in values:
                 if not math.isfinite(v):
                     raise ConfigError(f"sweep value for {name} must be finite, got {v!r}")
-                if name in ("K", "M") and (v <= 0 or int(v) != v):
-                    raise ConfigError(f"sweep values for {name} must be positive integers, got {v!r}")
+                if name in ("K", "M"):
+                    integer_value(f"sweep value for {name}", v, 1)
 
 
-def _integer(value) -> int:
-    """An integral JSON number as an int: 16 and 16.0 pass; 16.5, true and "16" do not."""
-    if isinstance(value, bool) or not (isinstance(value, int)
-                                       or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
-def _parse_field(raw: dict, key: str, kind=None, default=None, required=False):
-    """The value of ``key``, read by ``kind`` if given; without ``kind`` the
-    raw JSON value goes to the dataclass, which validates it."""
-    if key not in raw:
-        if required:
-            raise ConfigError(f"missing required field {key!r}")
-        return default
-    value = raw.pop(key)
-    if kind is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for {key!r}: {value!r}") from exc
+def _reject_repeated_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a ConfigError naming a key it repeats."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate a flat-key JSON experiment document.
 
-    Defaults: eps1=0.1, eps2=0.001, p_max=10.  Unset omega and gamma stay
-    unset: :func:`run_experiment` resolves them per sweep point, for the
-    algorithm that runs there.  Unknown keys, values of the wrong type and
-    invalid ranges are rejected with the offending field named.
+    The recognized keys are the fields of :class:`~.model.SystemConfig`,
+    :class:`~.solvers.SolverOptions` and :class:`ExperimentSpec` (bar its
+    ``base`` and ``solver``); each goes to its dataclass, which validates it
+    and supplies the defaults of the keys left out.  ``M``, ``N``, ``K``,
+    ``d`` and ``snr_db`` are required.  Unset omega and gamma stay unset:
+    :func:`run_experiment` resolves them per sweep point, for the algorithm
+    that runs there.  A key repeated in any object, an unknown key, a value of
+    the wrong type and an invalid range are rejected with the offending key
+    named.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_reject_repeated_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object with flat keys")
-    raw = dict(raw)
 
-    unknown = set(raw) - _CONFIG_KEYS - _SOLVER_KEYS - _SPEC_KEYS
+    keys = {cls: {f.name for f in dataclasses.fields(cls)} - {"base", "solver"}
+            for cls in (SystemConfig, SolverOptions, ExperimentSpec)}
+    unknown = set(raw).difference(*keys.values())
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
-
-    weights = raw.pop("weights", None)
-    if weights is not None and not isinstance(weights, list):
-        raise ConfigError("weights must be a list of positive reals")
-    config = SystemConfig(
-        M=_parse_field(raw, "M", _integer, required=True),
-        N=_parse_field(raw, "N", _integer, required=True),
-        K=_parse_field(raw, "K", _integer, required=True),
-        d=_parse_field(raw, "d", _integer, required=True),
-        p_max=_parse_field(raw, "p_max", default=10.0),
-        snr_db=_parse_field(raw, "snr_db", required=True),
-        weights=weights,
-        channel_seed=_parse_field(raw, "channel_seed", _integer, default=0),
-        init_seed=_parse_field(raw, "init_seed", _integer, default=0),
-    )
-
-    solver = SolverOptions(
-        algorithm=raw.pop("algorithm", "wmmse"),
-        gamma=raw.pop("gamma", None),
-        omega=raw.pop("omega", None),
-        eps1=_parse_field(raw, "eps1", default=0.1),
-        eps2=_parse_field(raw, "eps2", default=0.001),
-        max_iters=_parse_field(raw, "max_iters", _integer, default=1000),
-    )
-
-    sweep_raw = raw.pop("sweep", None)
-    items = list(sweep_raw.items()) if isinstance(sweep_raw, dict) else sweep_raw
-    if items is not None and not (isinstance(items, list) and all(
-            isinstance(item, (list, tuple)) and len(item) == 2 and isinstance(item[1], list)
-            for item in items)):
-        raise ConfigError("sweep must map parameter names to value lists")
-    sweep = tuple((str(name), tuple(values)) for name, values in items or ())
-
-    return ExperimentSpec(
-        base=config,
-        solver=solver,
-        n_realizations=_parse_field(raw, "n_realizations", _integer, default=20),
-        sweep=sweep,
-        parallel_workers=_parse_field(raw, "parallel_workers", _integer, default=0),
-        output_dir=Path(_parse_field(raw, "output_dir", str, default="out")),
-    )
+    missing = [key for key in ("M", "N", "K", "d", "snr_db") if key not in raw]
+    if missing:
+        raise ConfigError(f"missing required field(s): {', '.join(missing)}")
+    base, solver, rest = ({key: value for key, value in raw.items() if key in names}
+                          for names in keys.values())
+    return ExperimentSpec(SystemConfig(**base), SolverOptions(**solver), **rest)
 
 
 def _fmt(x: float) -> str:
@@ -318,34 +288,18 @@ class RunSummary:
     oracle_reports: tuple[OracleReport, ...]
 
     def to_json_dict(self) -> dict:
+        """The ``summary.json`` document: the spec and every point field by
+        field, less the wall times (they go to ``timing.json``)."""
         points = [
-            {
-                "label": p.label,
-                "config": dataclasses.asdict(p.config),
-                "solver": _solver_dict(p.solver),
-                "n_realizations": p.n_realizations,
-                "n_completed": p.n_completed,
-                "n_converged": p.n_converged,
-                "convergence_rate": p.n_converged / p.n_realizations,
-                "wsr_bits_mean": p.wsr_bits_mean,
-                "wsr_bits_std": p.wsr_bits_std,
-                "iterations_mean": p.iterations_mean,
-                "iterations_std": p.iterations_std,
-                "switch_iteration_mean": p.switch_iteration_mean,
-                "stationarity_residual_max": p.stationarity_residual_max,
-                "failures": list(p.failures),
-            }
+            {**{key: value for key, value in dataclasses.asdict(p).items()
+                if not key.startswith("wall_time_")},
+             "solver": _solver_dict(p.solver),
+             "convergence_rate": p.n_converged / p.n_realizations}
             for p in self.points
         ]
         return {
-            "spec": {
-                "base": dataclasses.asdict(self.spec.base),
-                "solver": _solver_dict(self.spec.solver),
-                "n_realizations": self.spec.n_realizations,
-                "sweep": [[name, list(values)] for name, values in self.spec.sweep],
-                "parallel_workers": self.spec.parallel_workers,
-                "output_dir": str(self.spec.output_dir),
-            },
+            "spec": {**dataclasses.asdict(self.spec), "solver": _solver_dict(self.spec.solver),
+                     "output_dir": str(self.spec.output_dir)},
             "points": points,
             "oracles": [dataclasses.asdict(r) for r in self.oracle_reports],
             "stamps": {

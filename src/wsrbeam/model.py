@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,18 @@ def real_value(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def integer_value(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integer (an int, a numpy integer or an
+    integral float) of at least ``minimum``; a ConfigError naming ``name``
+    otherwise.  16 and 16.0 pass; 16.5, True and "16" do not."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -70,10 +83,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("M", "N", "K", "d"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, integer_value(name, getattr(self, name), 1))
         p_max = real_value("p_max", self.p_max)
         if not (math.isfinite(p_max) and p_max > 0):
             raise ConfigError(f"p_max must be a positive real, got {self.p_max!r}")
@@ -85,6 +95,8 @@ class SystemConfig:
         w = self.weights
         if w is None:
             w = (1.0,) * self.K
+        if not isinstance(w, (Sequence, np.ndarray)):
+            raise ConfigError(f"weights must be a sequence of positive reals, got {w!r}")
         w = tuple(real_value("weights", x) for x in w)
         if len(w) != self.K:
             raise ConfigError(f"weights must have length K={self.K}, got {len(w)}")
@@ -92,10 +104,7 @@ class SystemConfig:
             raise ConfigError("weights must all be strictly positive")
         object.__setattr__(self, "weights", w)
         for name in ("channel_seed", "init_seed"):
-            s = getattr(self, name)
-            if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 0:
-                raise ConfigError(f"{name} must be a nonnegative integer, got {s!r}")
-            object.__setattr__(self, name, int(s))
+            object.__setattr__(self, name, integer_value(name, getattr(self, name), 0))
 
     @property
     def weight_vector(self) -> np.ndarray:
@@ -237,19 +246,29 @@ def generate_channels(config: SystemConfig) -> ChannelSet:
     return ChannelSet(h, compute_noise_power(h, config.snr_db, config))
 
 
+def check_channel_shape(channels: np.ndarray, config: SystemConfig) -> None:
+    """A ConfigError naming both shapes unless the stack ``channels`` has the
+    config's (K, N, M) shape."""
+    if channels.shape != (config.K, config.N, config.M):
+        raise ConfigError(f"channels have shape (K, N, M) = {channels.shape}, but the config "
+                          f"has (K, N, M) = {(config.K, config.N, config.M)}")
+
+
 def compute_noise_power(channels, snr_db: float, config: SystemConfig) -> float:
     """Common noise power giving the requested average per-user receive SNR.
 
     sigma^2 = 10^{(1/K) sum_k log10(||H_k||_F^2 / N)} * 10^{-SNR/10},
     i.e. the geometric mean of the per-antenna channel gains of the (K, N, M)
     stack ``channels`` (an array or a :class:`ChannelSet`) scaled by the SNR
-    in linear units.
+    in linear units.  The stack's shape must be the config's (K, N, M).
     """
     snr_db = real_value("snr_db", snr_db)
-    fro2 = np.sum(np.abs(np.asarray(channels)) ** 2, axis=(1, 2))
+    h = np.asarray(channels)
+    check_channel_shape(h, config)
+    fro2 = np.sum(np.abs(h) ** 2, axis=(1, 2))
     if np.any(fro2 <= 0.0):
         raise DegenerateChannelError("channel matrix with zero Frobenius norm")
-    exponent = float(np.mean(np.log10(fro2 / config.N))) - snr_db / 10.0
+    exponent = float(np.mean(np.log10(fro2 / h.shape[1]))) - snr_db / 10.0
     return float(10.0 ** exponent)
 
 

@@ -68,7 +68,9 @@ from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tr
     Stage,
     SystemConfig,
     WeightMatrixSet,
+    check_channel_shape,
     init_precoders,
+    integer_value,
     real_value,
     total_power,
 )
@@ -167,10 +169,7 @@ class SolverOptions:
             raise ConfigError(f"eps2 must be positive and finite, got {self.eps2!r}")
         if self.eps2 > self.eps1:
             raise ConfigError(f"eps2 ({self.eps2}) must not exceed eps1 ({self.eps1})")
-        m = self.max_iters
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-            raise ConfigError(f"max_iters must be a positive integer, got {m!r}")
-        object.__setattr__(self, "max_iters", int(m))
+        object.__setattr__(self, "max_iters", integer_value("max_iters", self.max_iters, 1))
 
     def at_snr(self, snr_db: float) -> "SolverOptions":
         """These options with A-MMMSE's unset gamma and omega taken from the
@@ -449,9 +448,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     half its running maximum for five consecutive iterations.
     """
     h = np.asarray(channels)
-    if h.shape != (config.K, config.N, config.M):
-        raise ConfigError(f"channels have shape (K, N, M) = {h.shape}, but the config "
-                          f"has (K, N, M) = {(config.K, config.N, config.M)}")
+    check_channel_shape(h, config)
     sigma2 = channels.noise_power
     weights = config.weight_vector
     first_order = options.algorithm is Algorithm.AMMMSE

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import wsrbeam as wb
@@ -98,6 +99,7 @@ class TestParseExperiment:
     ("omega", "abc"), ("gamma", [1]), ("gamma", True), ("gamma", "fast"),
     ("weights", ["a", 1, 1]), ("snr_db", True), ("p_max", True), ("eps1", "0.5"),
     ("sweep", {"K": 4}), ("sweep", {"snr_db": ["x"]}), ("sweep", [["K"]]),
+    ("output_dir", None), ("output_dir", 5),
 ])
 def test_wrongly_typed_value_named(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -410,3 +412,63 @@ def test_programming_error_in_solve_propagates(tmp_path, monkeypatch):
     spec = dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=1)
     with pytest.raises(TypeError, match="synthetic bug"):
         wb.run_experiment(spec)
+
+
+class TestSpecFields:
+    """The Python API and the JSON route share one rule per field."""
+
+    def _spec(self, **fields):
+        return wb.ExperimentSpec(base=wb.SystemConfig(**MINIMAL), solver=wb.SolverOptions(),
+                                 **fields)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_realizations", 2.5), ("n_realizations", True), ("n_realizations", "3"),
+        ("n_realizations", 0), ("parallel_workers", 1.5), ("parallel_workers", True),
+        ("parallel_workers", -1), ("output_dir", 5), ("output_dir", None),
+    ])
+    def test_bad_field_named_on_construction_and_replace(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            self._spec(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(self._spec(), **{field: value})
+
+    def test_integral_floats_accepted_as_int(self):
+        spec = self._spec(n_realizations=3.0, parallel_workers=np.int64(2))
+        assert (spec.n_realizations, spec.parallel_workers) == (3, 2)
+        assert type(spec.n_realizations) is int and type(spec.parallel_workers) is int
+
+    @pytest.mark.parametrize("sweep", [
+        {"K": [2, 4]}, [["K", [2, 4]]], (("K", (2.0, 4.0)),),
+    ])
+    def test_sweep_forms_agree(self, sweep):
+        assert self._spec(sweep=sweep).sweep == (("K", (2.0, 4.0)),)
+
+    def test_no_sweep(self):
+        assert self._spec(sweep=None).sweep == () == self._spec().sweep
+
+    @pytest.mark.parametrize("text", [
+        '{"M": 8, "N": 2, "K": 3, "K": 5, "d": 2, "snr_db": 10}',
+        '{"M": 8, "N": 2, "K": 3, "d": 2, "snr_db": 10, "sweep": {"K": [2, 4], "K": [5]}}',
+    ], ids=["top_level", "sweep_object"])
+    def test_repeated_key_rejected(self, text):
+        with pytest.raises(ConfigError, match="'K' is repeated"):
+            wb.parse_experiment(text)
+
+    def test_json_keys_are_the_dataclass_fields(self):
+        # "base" and "solver" are the two nested fields, not keys.
+        for key in ("base", "solver"):
+            with pytest.raises(ConfigError, match=key):
+                wb.parse_experiment(spec_text(**{key: {}}))
+
+    def test_summary_spec_is_the_spec_field_by_field(self, tmp_path):
+        spec = wb.parse_experiment(spec_text(n_realizations=1, max_iters=5,
+                                             sweep={"snr_db": [0, 10]}))
+        summary = wb.run_experiment(dataclasses.replace(spec, output_dir=tmp_path,
+                                                        parallel_workers=1))
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert set(doc["spec"]) == {f.name for f in dataclasses.fields(wb.ExperimentSpec)}
+        assert doc["spec"]["sweep"] == [["snr_db", [0.0, 10.0]]]
+        assert doc["spec"]["output_dir"] == str(tmp_path)
+        point_fields = {f.name for f in dataclasses.fields(type(summary.points[0]))}
+        assert set(doc["points"][0]) == (
+            point_fields - {"wall_time_mean", "wall_time_std"} | {"convergence_rate"})

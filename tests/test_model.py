@@ -6,7 +6,7 @@ import pytest
 
 import wsrbeam as wb
 from wsrbeam.errors import ConfigError, DegenerateChannelError
-from wsrbeam.model import total_power
+from wsrbeam.model import integer_value, total_power
 
 from conftest import make_system
 
@@ -31,10 +31,35 @@ class TestSystemConfig:
         dict(M=4, N=2, K=2, d=1, snr_db="10"),
         dict(M=4, N=2, K=2, d=1, weights=("a", 1.0)),
         dict(M=4, N=2, K=2, d=1, weights=(1.0, False)),
+        dict(M=4, N=2, K=1, d=1, weights=5),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             wb.SystemConfig(**kwargs)
+
+    def test_integral_floats_accepted_as_int(self):
+        # The same values a JSON spec may give.
+        cfg = wb.SystemConfig(M=16.0, N=2.0, K=np.int64(3), d=2, channel_seed=4.0)
+        assert (cfg.M, cfg.N, cfg.K, cfg.d, cfg.channel_seed) == (16, 2, 3, 2, 4)
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("M", "N", "K", "d", "channel_seed", "init_seed"))
+
+
+class TestIntegerValue:
+    @pytest.mark.parametrize("value", [16, np.int32(16), 16.0, np.float64(16.0)])
+    def test_integers_pass_as_int(self, value):
+        got = integer_value("M", value, 1)
+        assert got == 16 and type(got) is int
+
+    @pytest.mark.parametrize("value", [True, 16.5, "16", None, math.inf, math.nan, [16]])
+    def test_non_integers_named(self, value):
+        with pytest.raises(ConfigError, match="M must be an integer"):
+            integer_value("M", value, 1)
+
+    def test_minimum_named(self):
+        assert integer_value("seed", 0, 0) == 0
+        with pytest.raises(ConfigError, match="seed must be at least 0"):
+            integer_value("seed", -1, 0)
 
 
 class TestGenerateChannels:
@@ -134,6 +159,21 @@ class TestNoisePower:
         cfg, ch = make_system()
         with pytest.raises(ConfigError, match="snr_db"):
             wb.compute_noise_power(ch, snr_db, cfg)
+
+    def test_config_of_another_shape_rejected(self):
+        # An N = 2 draw with an N = 4 config would read log10(||H_k||^2 / 4).
+        cfg, ch = make_system(N=2)
+        other = wb.SystemConfig(M=cfg.M, N=4, K=cfg.K, d=cfg.d)
+        with pytest.raises(ConfigError, match=r"\(3, 2, 8\).*\(3, 4, 8\)"):
+            wb.compute_noise_power(ch, 10.0, other)
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
+    def test_matching_config_bit_identical(self, snr_db):
+        cfg, ch = make_system(seed=4, M=6, N=3, K=2, d=1)
+        fro2 = np.sum(np.abs(ch.channels) ** 2, axis=(1, 2))
+        expected = 10.0 ** (float(np.mean(np.log10(fro2 / cfg.N))) - snr_db / 10.0)
+        got = wb.compute_noise_power(ch, snr_db, cfg)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestInitPrecoders:
