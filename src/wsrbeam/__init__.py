@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DegenerateChannelError,
-    IllConditionedWeightError,
     NumericalError,
     ObjectiveDomainError,
     UnstableParametersError,
@@ -32,6 +31,7 @@ from .objective import (
     compute_bounds,
     gradient_v,
     mse_matrix,
+    update_weight_matrices,
     user_rates,
     weighted_gram,
     weighted_sum_rate,
@@ -52,7 +52,6 @@ from .solvers import (
     solve,
     update_precoders_exact,
     update_receivers,
-    update_weight_matrices,
 )
 from .verify import (
     OracleReport,

@@ -17,12 +17,6 @@ class ObjectiveDomainError(WsrbeamError, ValueError):
     """Objective evaluated outside its domain (singular or indefinite weight)."""
 
 
-class IllConditionedWeightError(WsrbeamError, RuntimeError):
-    """Weight-matrix update failed; the receiver set is inconsistent with the
-    precoders (the update is only guaranteed well-posed for fresh MMSE
-    receivers). Carries a condition estimate in the message."""
-
-
 class UnstableParametersError(WsrbeamError, RuntimeError):
     """First-order solver diverged; the step size / extrapolation pair is too
     aggressive for this instance."""

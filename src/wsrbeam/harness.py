@@ -33,7 +33,7 @@ from .model import (
     integer_value,
     real_value,
 )
-from .objective import compute_bounds, gradient_v, wmmse_objective
+from .objective import compute_bounds, gradient_v, update_weight_matrices, wmmse_objective
 from .solvers import (
     IterationRecord,
     SolveResult,
@@ -41,7 +41,6 @@ from .solvers import (
     project_sum_power,
     solve,
     update_receivers,
-    update_weight_matrices,
 )
 from .verify import OracleReport, check_lemma_bounds, finite_diff_gradient
 
@@ -322,7 +321,7 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
     weights = config.weight_vector
     precoders = project_sum_power(init_precoders(config), config.p_max)
     receivers = update_receivers(channels, precoders, channels.noise_power)
-    wmats = update_weight_matrices(channels, receivers, precoders)
+    wmats = update_weight_matrices(channels, precoders, channels.noise_power)
 
     def objective(v):
         return wmmse_objective(receivers, wmats, v, channels, weights, channels.noise_power)

@@ -1,6 +1,6 @@
-"""Rates, MSE matrices, the weighted sum-MSE objective, the factored form of
-the precoder subproblem and its gradient, and the spectral bounds that
-control safe step sizes.
+"""Rates and MMSE weights, MSE matrices, the weighted sum-MSE objective, the
+factored form of the precoder subproblem and its gradient, and the spectral
+bounds that control safe step sizes.
 
 Conventions: every optimization-internal quantity (the objective ``f``, the
 rates used in stopping tests) is in natural log; reported sum rates are in
@@ -12,10 +12,11 @@ arguments are (K, ., .) stacks: plain ndarrays or the matrix sets of
 Each per-user quantity has one route, stacked over the users; there is no
 one-user form.  The stacked helpers (:func:`flatten_users`, :func:`received`,
 :func:`own_streams`, :func:`interfering`), :func:`mse_matrix`,
-:func:`user_rates` and :func:`wmmse_objective` also take leading batch axes
-in front of the user axis, e.g. (T, K, ., .) stacks of T iterates against
-one (K, N, M) channel stack.  Each slice of a batched result agrees with the
-unbatched call on that slice to rounding.
+:func:`mmse_gain`, :func:`update_weight_matrices`, :func:`user_rates` and
+:func:`wmmse_objective` also take leading batch axes in front of the user
+axis, e.g. (T, K, ., .) stacks of T iterates against one (K, N, M) channel
+stack.  Each slice of a batched result agrees with the unbatched call on that
+slice to rounding.
 """
 
 from __future__ import annotations
@@ -132,16 +133,36 @@ def mse_matrix(channels, receivers, precoders, noise_power: float) -> np.ndarray
                         + uh @ covariance(interfering(hv), noise_power) @ u)
 
 
-def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
-    """The (K,) rates in nats per channel use,
-    ln det(Q_k + H_k V_k V_k^H H_k^H) - ln det Q_k with Q_k the
-    interference-plus-noise covariance of user k."""
+def mmse_gain(channels, precoders, noise_power: float) -> np.ndarray:
+    """The (..., K, d, d) MMSE gains G_k = Z_k^H Z_k, Z_k = L_k^{-1} H_k V_k,
+    with L_k L_k^H = Q_k the interference-plus-noise covariance of user k.
+
+    G_k is Hermitian positive semidefinite by construction, and I + G_k is the
+    MMSE weight, the inverse MSE matrix at the MMSE receivers."""
     if not (noise_power > 0):
         raise ConfigError("noise power must be positive")
     hv = received(np.asarray(channels), np.asarray(precoders))
-    interference, own = covariance(interfering(hv), noise_power), own_streams(hv)
-    signal = hermitianize(interference + own @ np.conj(np.swapaxes(own, -1, -2)))
-    return np.maximum(lndet_hpd(signal) - lndet_hpd(interference), 0.0)
+    z = np.linalg.solve(np.linalg.cholesky(covariance(interfering(hv), noise_power)),
+                        own_streams(hv))
+    return hermitianize(np.conj(np.swapaxes(z, -1, -2)) @ z)
+
+
+def update_weight_matrices(channels, precoders, noise_power: float) -> np.ndarray:
+    """Weight update W_k = I + G_k (:func:`mmse_gain`).
+
+    By the matrix inversion lemma this is (I - U_k^H H_k V_k)^{-1} at the MMSE
+    receivers of the same precoders, formed without an inversion: it is
+    Hermitian positive definite by construction and accurate at high SNR."""
+    g = mmse_gain(channels, precoders, noise_power)
+    return np.eye(g.shape[-1]) + g
+
+
+def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
+    """The (K,) rates in nats per channel use, ln det(I + G_k) =
+    sum log1p(eig G_k) (:func:`mmse_gain`): the ln det of the MMSE weight,
+    accurate at low SNR too, and never negative."""
+    eig = np.linalg.eigvalsh(mmse_gain(channels, precoders, noise_power))
+    return np.sum(np.log1p(np.maximum(eig, 0.0)), axis=-1)
 
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:

@@ -10,8 +10,11 @@ two the exact update.  Each iteration of the loop runs:
   1. extrapolate the precoders (A-MMMSE, from the second iteration on),
   2. MMSE receive-filter update,
   3. weight-matrix update -- pinned to identity during the unweighted
-     warm-start stage, standard update once the stage latch has fired: one
-     batched Cholesky solve of the K MSE matrices at the fresh receivers,
+     warm-start stage, standard update once the stage latch has fired:
+     W_k = I + Z_k^H Z_k, with Z_k the own streams whitened by the
+     interference-plus-noise covariance
+     (:func:`~.objective.update_weight_matrices`), the inverse MSE matrix
+     at the fresh receivers, formed with no inversion,
   4. precoder update -- either the exact minimizer of the precoder
      subproblem (one eigendecomposition and a Newton solve for the dual
      variable of the sum-power constraint) or a single projected gradient
@@ -32,10 +35,10 @@ with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
 the exact update solves its subproblem in the column space of F, of
 dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
 Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
-update and O(M (Kd)^2) for the gradient step.  The receiver update and the
-weighted sum rate cost O(K^2 N M d): all users at once, from the
-stacked product H_k [V_1 ... V_K] of :mod:`.objective` and batched Cholesky
-solves, with no per-user loop.  For Kd <= M an iteration is linear in M.
+update and O(M (Kd)^2) for the gradient step.  The receiver and weight
+updates and the weighted sum rate cost O(K^2 N M d): all users at once, from
+the stacked product H_k [V_1 ... V_K] of :mod:`.objective` and batched
+Cholesky solves, with no per-user loop.  For Kd <= M an iteration is linear in M.
 
 The loop works on plain (K, ., .) ndarrays: every block function reads its
 block arguments (arrays or matrix sets) through ``np.asarray``, returns an
@@ -59,8 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IllConditionedWeightError, NumericalError, UnstableParametersError
-from .linalg import hermitianize, solve_hpd
+from .errors import ConfigError, NumericalError, UnstableParametersError
+from .linalg import solve_hpd
 from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tracing.py patches them here
     ChannelSet,
     PrecoderSet,
@@ -85,6 +88,7 @@ from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py pa
     precoder_factor,
     received,
     split_users,
+    update_weight_matrices,
     weighted_gram,
     weighted_sum_rate,
     wmmse_objective,
@@ -250,32 +254,6 @@ def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
     return solve_hpd(covariance(hv, noise_power), own_streams(hv))
 
 
-def update_weight_matrices(channels, receivers, precoders) -> np.ndarray:
-    """Weight update W_k = (I - U_k^H H_k V_k)^{-1}, symmetrized after the solve.
-
-    With fresh MMSE receivers the argument, hermitianized, is the Hermitian
-    positive definite MSE matrix E_k, so all K updates are one batched
-    Cholesky solve.  The factorization failing is the positive-definiteness
-    check: only then is a condition estimate computed, and the error names
-    the user whose argument is furthest from positive definite.
-    """
-    h = np.asarray(channels)
-    u = np.asarray(receivers)
-    v = np.asarray(precoders)
-    eye = np.eye(v.shape[2])
-    t = hermitianize(eye - np.conj(np.swapaxes(u, 1, 2)) @ h @ v)
-    try:
-        return hermitianize(solve_hpd(t, np.broadcast_to(eye, t.shape)))
-    except np.linalg.LinAlgError as exc:
-        eig = np.linalg.eigvalsh(t)
-        with np.errstate(invalid="ignore"):  # a zero argument reads 0/0 and is picked
-            k = int(np.argmin(eig[:, 0] / np.abs(eig).max(axis=1)))
-        raise IllConditionedWeightError(
-            f"weight update for user {k} is not positive definite "
-            f"(cond ~ {np.linalg.cond(t[k]):.3e}); receivers are not MMSE-consistent "
-            "with the precoders") from exc
-
-
 def project_sum_power(precoders, p_max: float) -> np.ndarray:
     """Projection onto the sum-power ball: identity when feasible, otherwise
     a uniform scaling by sqrt(p_max / power).
@@ -427,7 +405,7 @@ def _stationarity_residual(h: np.ndarray, v: np.ndarray, weights, noise_power: f
     fresh MMSE receivers and the exit stage's weight matrices (``eye_w`` in
     the unweighted stage)."""
     u = update_receivers(h, v, noise_power)
-    w = update_weight_matrices(h, u, v) if weighted else eye_w
+    w = update_weight_matrices(h, v, noise_power) if weighted else eye_w
     stepped = pgd_precoder_step(v, u, w, h, weights, bounds.gamma_safe, p_max)
     norm_v = math.sqrt(max(total_power(v), 0.0))
     return float(np.linalg.norm(v - stepped)) / max(1.0, norm_v)
@@ -487,7 +465,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         stage = Stage.WEIGHTED if weighted else Stage.UNWEIGHTED
 
         if weighted:
-            w = _finite(t, "weight", update_weight_matrices(h, u, v_hat))
+            w = _finite(t, "weight", update_weight_matrices(h, v_hat, sigma2))
         else:
             w = eye_w
 

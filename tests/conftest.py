@@ -14,7 +14,7 @@ def make_system(seed=0, M=8, N=2, K=3, d=2, snr_db=10.0, p_max=10.0, weights=Non
 def mmse_blocks(ch, precoders):
     """Algorithm-produced (receivers, weights) at the given precoders."""
     u = wb.update_receivers(ch, precoders, ch.noise_power)
-    w = wb.update_weight_matrices(ch, u, precoders)
+    w = wb.update_weight_matrices(ch, precoders, ch.noise_power)
     return u, w
 
 

@@ -29,7 +29,7 @@ SHAPES = [(8, 2, 3, 2), (6, 2, 3, 2), (4, 3, 3, 1), (5, 2, 4, 2)]
 
 BLOCKS = {
     "update_receivers": lambda h, u, w, v, a, s2: wb.update_receivers(h, v, s2),
-    "update_weight_matrices": lambda h, u, w, v, a, s2: wb.update_weight_matrices(h, u, v),
+    "update_weight_matrices": lambda h, u, w, v, a, s2: wb.update_weight_matrices(h, v, s2),
     "mse_matrix": lambda h, u, w, v, a, s2: wb.mse_matrix(h, u, v, s2),
     "user_rates": lambda h, u, w, v, a, s2: wb.user_rates(h, v, s2),
     "gradient_v": lambda h, u, w, v, a, s2: wb.gradient_v(u, w, v, h, a),

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -155,6 +156,66 @@ def test_stacked_route_matches_per_user_references(K, d):
         for t in range(2):
             single = wb.wmmse_objective(us[t], ws[t], vs[t], ch, cfg.weight_vector, ch.noise_power)
             assert batched[t] == pytest.approx(single, rel=1e-14, abs=0.0)
+
+        # A (T, K, M, d) stack of precoders gives one set of weights per slice.
+        batched = wb.update_weight_matrices(ch, vs, ch.noise_power)
+        assert batched.shape == (2, K, d, d)
+        for t in range(2):
+            single = wb.update_weight_matrices(ch, vs[t], ch.noise_power)
+            assert np.linalg.norm(batched[t] - single) <= 1e-14 * np.linalg.norm(single)
+
+
+def _mp_matrix(a):
+    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in a])
+
+
+def _mp_weights_and_rates(h, v, sigma2):
+    """W_k = I + S_k^H Q_k^{-1} S_k and R_k = ln det W_k in 60-digit
+    arithmetic, with S_k = H_k V_k and Q_k the interference-plus-noise
+    covariance; the double inputs are taken exactly."""
+    K, N, _ = h.shape
+    d = v.shape[2]
+    with mpmath.workdps(60):
+        weights, rates = [], []
+        for k in range(K):
+            hk = _mp_matrix(h[k])
+            q = mpmath.mpf(sigma2) * mpmath.eye(N)
+            for j in range(K):
+                hv = hk * _mp_matrix(v[j])
+                if j == k:
+                    s = hv
+                else:
+                    q += hv * hv.transpose_conj()
+            w = mpmath.eye(d) + s.transpose_conj() * mpmath.inverse(q) * s
+            weights.append(w)
+            rates.append(mpmath.re(mpmath.log(mpmath.det(w))))
+        return weights, rates
+
+
+@pytest.mark.parametrize("snr_db, quantity, bound", [
+    (-40.0, "rates", 1e-12),  # the ln det difference read 7e-5 here
+    (60.0, "weights", 2e-10),  # inverting I - U^H H V read 7e-10 here
+    (60.0, "rates", 1e-10),
+])
+def test_weights_and_rates_match_high_precision_at_wmmse_solutions(snr_db, quantity, bound):
+    # At -40 dB every rate is about 1e-4 nats, and at 60 dB the MSE matrix
+    # is about 1e-6 I: W and R come from the whitened own streams, so
+    # neither is a difference of nearly equal quantities.
+    worst = 0.0
+    for seed in range(4):
+        cfg, ch = make_system(seed=seed, M=8, N=2, K=3, d=2, snr_db=snr_db)
+        v = wb.solve(ch, cfg, wb.SolverOptions(algorithm="wmmse")).final_precoders.precoders
+        ref_w, ref_r = _mp_weights_and_rates(ch.channels, v, ch.noise_power)
+        if quantity == "weights":
+            w = wb.update_weight_matrices(ch, v, ch.noise_power)
+            for k in range(cfg.K):
+                err = mpmath.mnorm(_mp_matrix(w[k]) - ref_w[k], "f") / mpmath.mnorm(ref_w[k], "f")
+                worst = max(worst, float(err))
+        else:
+            r = wb.user_rates(ch, v, ch.noise_power)
+            for k in range(cfg.K):
+                worst = max(worst, float(abs(mpmath.mpf(float(r[k])) - ref_r[k]) / ref_r[k]))
+    assert worst <= bound
 
 
 def test_precoder_factor_block_diagonal():
