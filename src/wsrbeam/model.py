@@ -145,18 +145,6 @@ class ChannelSet:
             raise ConfigError(f"noise_power must be positive, got {self.noise_power!r}")
         object.__setattr__(self, "noise_power", s2)
 
-    @property
-    def K(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.channels.shape[1]
-
-    @property
-    def M(self) -> int:
-        return self.channels.shape[2]
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return _as_array(self.channels, dtype, copy)
 
@@ -222,10 +210,6 @@ class WeightMatrixSet:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return _as_array(self.weight_matrices, dtype, copy)
-
-    @property
-    def d(self) -> int:
-        return self.weight_matrices.shape[1]
 
     @classmethod
     def identity(cls, K: int, d: int) -> "WeightMatrixSet":

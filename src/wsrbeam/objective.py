@@ -10,13 +10,15 @@ arguments are (K, ., .) stacks: plain ndarrays or the matrix sets of
 :mod:`.model`, read through ``np.asarray``.
 
 Each per-user quantity has one route, stacked over the users; there is no
-one-user form.  The stacked helpers (:func:`flatten_users`, :func:`received`,
-:func:`own_streams`, :func:`interfering`), :func:`mse_matrix`,
-:func:`mmse_gain`, :func:`update_weight_matrices`, :func:`user_rates` and
-:func:`wmmse_objective` also take leading batch axes in front of the user
-axis, e.g. (T, K, ., .) stacks of T iterates against one (K, N, M) channel
-stack.  Each slice of a batched result agrees with the unbatched call on that
-slice to rounding.
+one-user form.  The weights, rates and weighted sum rate go through
+:func:`mmse_gain` of a :func:`received` stack and :func:`gain_weights`,
+:func:`gain_rates` or :func:`gain_snapshot`, as in the solver loop.  The
+stacked helpers (:func:`flatten_users`, :func:`received`, :func:`own_streams`,
+:func:`interfering`), :func:`mse_matrix`, :func:`mmse_gain`,
+:func:`update_weight_matrices`, :func:`user_rates` and :func:`wmmse_objective`
+also take leading batch axes in front of the user axis, e.g. (T, K, ., .)
+stacks of T iterates against one (K, N, M) channel stack.  Each slice of a
+batched result agrees with the unbatched call on that slice to rounding.
 """
 
 from __future__ import annotations
@@ -133,44 +135,54 @@ def mse_matrix(channels, receivers, precoders, noise_power: float) -> np.ndarray
                         + uh @ covariance(interfering(hv), noise_power) @ u)
 
 
-def mmse_gain(channels, precoders, noise_power: float) -> np.ndarray:
-    """The (..., K, d, d) MMSE gains G_k = Z_k^H Z_k, Z_k = L_k^{-1} H_k V_k,
-    with L_k L_k^H = Q_k the interference-plus-noise covariance of user k.
-
-    G_k is Hermitian positive semidefinite by construction, and I + G_k is the
-    MMSE weight, the inverse MSE matrix at the MMSE receivers."""
+def mmse_gain(hv: np.ndarray, noise_power: float) -> np.ndarray:
+    """The (..., K, d, d) MMSE gains G_k = Z_k^H Z_k, Hermitian PSD by
+    construction, of a :func:`received` stack: Z_k = L_k^{-1} H_k V_k with
+    L_k L_k^H = Q_k, user k's interference-plus-noise covariance."""
     if not (noise_power > 0):
         raise ConfigError("noise power must be positive")
-    hv = received(np.asarray(channels), np.asarray(precoders))
     z = np.linalg.solve(np.linalg.cholesky(covariance(interfering(hv), noise_power)),
                         own_streams(hv))
     return hermitianize(np.conj(np.swapaxes(z, -1, -2)) @ z)
 
 
-def update_weight_matrices(channels, precoders, noise_power: float) -> np.ndarray:
-    """Weight update W_k = I + G_k (:func:`mmse_gain`).
-
-    By the matrix inversion lemma this is (I - U_k^H H_k V_k)^{-1} at the MMSE
-    receivers of the same precoders, formed without an inversion: it is
-    Hermitian positive definite by construction and accurate at high SNR."""
-    g = mmse_gain(channels, precoders, noise_power)
+def gain_weights(g: np.ndarray) -> np.ndarray:
+    """The MMSE weights W_k = I + G_k of a :func:`mmse_gain` stack.  By the
+    matrix inversion lemma this is (I - U_k^H H_k V_k)^{-1} at the MMSE
+    receivers, the inverse MSE matrix, formed without an inversion: Hermitian
+    positive definite by construction and accurate at high SNR."""
     return np.eye(g.shape[-1]) + g
 
 
+def gain_rates(g: np.ndarray) -> np.ndarray:
+    """The rates ln det(I + G_k) = sum log1p(eig G_k) of a :func:`mmse_gain`
+    stack, in nats: the ln det of the MMSE weight, accurate at low SNR too,
+    and never negative."""
+    return np.sum(np.log1p(np.maximum(np.linalg.eigvalsh(g), 0.0)), axis=-1)
+
+
+def gain_snapshot(g: np.ndarray, precoders, weights) -> ObjectiveSnapshot:
+    """alpha @ :func:`gain_rates`, with the transmit power of ``precoders``."""
+    total = float(np.asarray(weights, dtype=np.float64) @ gain_rates(g))
+    return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(np.asarray(precoders)))
+
+
+def update_weight_matrices(channels, precoders, noise_power: float) -> np.ndarray:
+    """Weight update at ``precoders``: :func:`gain_weights`."""
+    return gain_weights(mmse_gain(received(np.asarray(channels), np.asarray(precoders)),
+                                  noise_power))
+
+
 def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
-    """The (K,) rates in nats per channel use, ln det(I + G_k) =
-    sum log1p(eig G_k) (:func:`mmse_gain`): the ln det of the MMSE weight,
-    accurate at low SNR too, and never negative."""
-    eig = np.linalg.eigvalsh(mmse_gain(channels, precoders, noise_power))
-    return np.sum(np.log1p(np.maximum(eig, 0.0)), axis=-1)
+    """The (K,) rates in nats per channel use (:func:`gain_rates`)."""
+    return gain_rates(mmse_gain(received(np.asarray(channels), np.asarray(precoders)),
+                                noise_power))
 
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
     """alpha @ :func:`user_rates`, with the transmit power."""
-    v = np.asarray(precoders)
-    alpha = np.asarray(weights, dtype=np.float64)
-    total = float(alpha @ user_rates(channels, v, channels.noise_power))
-    return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(v))
+    return gain_snapshot(mmse_gain(received(np.asarray(channels), np.asarray(precoders)),
+                                   channels.noise_power), precoders, weights)
 
 
 def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, noise_power: float):

@@ -8,37 +8,39 @@ stage; A-MMMSE takes one gradient step from an extrapolated point, the other
 two the exact update.  Each iteration of the loop runs:
 
   1. extrapolate the precoders (A-MMMSE, from the second iteration on),
-  2. MMSE receive-filter update,
-  3. weight-matrix update -- pinned to identity during the unweighted
-     warm-start stage, standard update once the stage latch has fired:
-     W_k = I + Z_k^H Z_k, with Z_k the own streams whitened by the
-     interference-plus-noise covariance
-     (:func:`~.objective.update_weight_matrices`), the inverse MSE matrix
-     at the fresh receivers, formed with no inversion,
-  4. precoder update -- either the exact minimizer of the precoder
-     subproblem (one eigendecomposition and a Newton solve for the dual
-     variable of the sum-power constraint) or a single projected gradient
-     step,
-  5. the weighted sum rate of the new feasible iterate, which the stop test,
+  2. the MMSE receive filters at Vhat and, once the stage latch has fired,
+     the weights there (the identity in the unweighted warm-start stage),
+  3. precoder update: the exact minimizer of the precoder subproblem (one
+     eigendecomposition and a Newton solve for the dual variable of the
+     sum-power constraint) or a single projected gradient step,
+  4. the weighted sum rate of the new feasible iterate, which the stop test,
      the switch test and A-MMMSE's divergence guard read.
 
-The loop computes only what those decisions need and keeps each iteration's
-blocks (U, W, Vhat, V).  The records come after the loop, in two stacked
-:func:`~.objective.wmmse_objective` passes over the (T, K, ., .) stacks of
-those blocks: ``f_after_u`` and ``f_after_w`` share one MSE stack at (U, Vhat),
-weighted by W_prev (row t-1's W, the identity before row 1) and by W, and
-``f_after_v`` is the other pass.  The blocks become the result's
-:class:`BlockIterate` records.
+Steps 2 and 4 are one MMSE pass over a received stack H_k [V_1 ... V_K]: a
+Cholesky of its covariance gives the receivers, one of the
+interference-plus-noise covariance the gain G_k (:func:`~.objective.mmse_gain`),
+I + G_k the weights and sum log1p eig G_k the rates.  For WMMSE and MMMSE the
+pass at V_t serves step 4 of iteration t and step 2 of t+1; A-MMMSE forms
+one more stack, at each Vhat.  Through the public functions' helpers, the
+loop's values are theirs bit for bit.  One ``weighted_sum_rate`` call stays
+after the loop, for the last row: perfbench/metrics.py starts a solve's exit
+check where it ends.
+
+The loop keeps each iteration's blocks (U, W, Vhat, V).  The records come
+after it, in two stacked :func:`~.objective.wmmse_objective` passes over the
+(T, K, ., .) stacks of those blocks: ``f_after_u`` and ``f_after_w`` share
+one MSE stack at (U, Vhat), weighted by W_prev (row t-1's W, the identity
+before row 1) and by W, and ``f_after_v`` is the other pass.  The blocks
+become the result's :class:`BlockIterate` records.
 
 No M x M matrix is formed in the iteration loop.  Both precoder updates work
 with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
 the exact update solves its subproblem in the column space of F, of
 dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
 Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
-update and O(M (Kd)^2) for the gradient step.  The receiver and weight
-updates and the weighted sum rate cost O(K^2 N M d): all users at once, from
-the stacked product H_k [V_1 ... V_K] of :mod:`.objective` and batched
-Cholesky solves, with no per-user loop.  For Kd <= M an iteration is linear in M.
+update and O(M (Kd)^2) for the gradient step, and the MMSE pass
+O(K^2 N M d), all users at once, with no per-user loop.  For Kd <= M an
+iteration is linear in M.
 
 The loop works on plain (K, ., .) ndarrays: every block function reads its
 block arguments (arrays or matrix sets) through ``np.asarray``, returns an
@@ -77,13 +79,16 @@ from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tr
     real_value,
     total_power,
 )
-from .objective import (  # noqa: F401 -- weighted_gram: perfbench/tracing.py patches it here
+from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_weight_matrices and weighted_gram here
     BoundsReport,
     ObjectiveSnapshot,
     compute_bounds,
     covariance,
     flatten_users,
+    gain_snapshot,
+    gain_weights,
     gradient_v,
+    mmse_gain,
     own_streams,
     precoder_factor,
     received,
@@ -243,14 +248,14 @@ def default_step_parameters(snr_db: float) -> tuple[float, float]:
 
 
 def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
-    """MMSE receive filters: U_k = (sum_j H_k V_j V_j^H H_k^H + sigma^2 I)^{-1} H_k V_k.
+    """MMSE receive filters at ``precoders`` (:func:`mmse_receivers`)."""
+    return mmse_receivers(received(np.asarray(channels), np.asarray(precoders)), noise_power)
 
-    The system matrices are the received covariances of the N x Kd products
-    H_k [V_1 ... V_K], never the M x M sum_j V_j V_j^H, and all K are solved
-    in one batched Cholesky solve.  They are strictly positive definite for
-    sigma^2 > 0, so the solve is always well posed.
-    """
-    hv = received(np.asarray(channels), np.asarray(precoders))
+
+def mmse_receivers(hv: np.ndarray, noise_power: float) -> np.ndarray:
+    """U_k = (sum_j H_k V_j V_j^H H_k^H + sigma^2 I)^{-1} H_k V_k from a
+    :func:`~.objective.received` stack: the K received N x N covariances,
+    never the M x M sum_j V_j V_j^H, in one batched Cholesky solve."""
     return solve_hpd(covariance(hv, noise_power), own_streams(hv))
 
 
@@ -282,36 +287,38 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
     and the target components along them are dropped, as ``lstsq``'s rcond
     does, so the lam = 0 answer is the minimum-norm one.  (For the precoder
     subproblem B = F D lies in the range of A = F D F^H, so the dropped
-    components are roundoff.)  If that answer is feasible it is returned.
-    Otherwise lam solves P(lam) = p_max (1 - 1e-13) by Newton's method on
-    1 / sqrt(P), which is concave in lam: from the infeasible side the steps
-    increase lam monotonically to the root, and a step that leaves the bracket
-    [lo, hi], first [0, ||B||_F / sqrt(p_max)], is replaced by its midpoint.
+    components are roundoff.)  It is returned when P(0) <= p_max.  Otherwise
+    lam solves P(lam) = p_max (1 - 1e-13) by Newton's method on 1 / sqrt(P),
+    which is concave in lam: from the infeasible side the steps increase lam
+    monotonically to the root, and a step that leaves the bracket [lo, hi],
+    first [0, ||B||_F / sqrt(p_max)], is replaced by its midpoint.
     The 1e-13 margin keeps rounding in the final products from pushing the
     power past p_max, so an active constraint ends with the power in
     [p_max (1 - 1e-12), p_max].
 
-    The solve stops once the power is within 16 eps of its target or a step
-    no longer moves lam, that is at machine precision.  ``_NEWTON_MAX`` caps
-    the Newton steps; a solve that reaches it returns the feasible end of the
+    The Newton loop sums P and its derivative in one pass of Python floats
+    over the kept (s_i, c_i), cheaper than numpy calls on so few terms.  It
+    stops once the power is within 16 eps of its target or a step no longer
+    moves lam, that is at machine precision.  ``_NEWTON_MAX`` caps the
+    Newton steps; a solve that reaches it returns the feasible end of the
     bracket with ``converged=False``.
     """
     gram = np.asarray(gram, dtype=np.complex128)
     b = np.asarray(targets, dtype=np.complex128)
     K, m, d = b.shape
-    eps = np.finfo(np.float64).eps
+    eps = float(np.finfo(np.float64).eps)
     s, e = np.linalg.eigh(gram)
     keep = s > m * eps * max(float(s[-1]), 0.0)
     s, e = s[keep], e[:, keep]
     c = e.conj().T @ flatten_users(b)  # (r, Kd)
     weight = np.sum(c.real ** 2 + c.imag ** 2, axis=1)
+    pairs = list(zip(s.tolist(), weight.tolist()))  # (s_i, c_i) as Python floats
 
     def solution(lam: float) -> np.ndarray:
         return split_users(e @ (c / (s + lam)[:, None]), K, d)
 
-    x0 = solution(0.0)
-    if total_power(x0) <= p_max:
-        return BisectionResult(0.0, x0, True, 0)
+    if sum(ci / (si * si) for si, ci in pairs) <= p_max:
+        return BisectionResult(0.0, solution(0.0), True, 0)
 
     target = p_max * (1.0 - _POWER_MARGIN)
     norm_b2 = float(np.sum(weight))
@@ -321,9 +328,12 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
     its, converged = 0, False
     while its < _NEWTON_MAX:
         its += 1
-        inv = 1.0 / (s + lam)
-        terms = weight * inv * inv
-        power = float(np.sum(terms))
+        power = slope = 0.0  # P(lam) and -P'(lam) / 2
+        for si, ci in pairs:
+            inv = 1.0 / (si + lam)
+            term = ci * inv * inv
+            power += term
+            slope += term * inv
         if abs(power - target) <= 16.0 * eps * target:
             converged = True
             break
@@ -331,7 +341,7 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
             lo = lam
         else:
             hi = lam
-        step = power * (math.sqrt(power / target) - 1.0) / float(np.sum(terms * inv))
+        step = power * (math.sqrt(power / target) - 1.0) / slope
         nxt = lam + step
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
@@ -397,15 +407,12 @@ def _rel_change(new: float, old: float) -> float:
     return abs(new - old) / denom
 
 
-def _stationarity_residual(h: np.ndarray, v: np.ndarray, weights, noise_power: float,
-                           p_max: float, bounds: BoundsReport, eye_w: np.ndarray,
-                           weighted: bool) -> float:
+def _stationarity_residual(h: np.ndarray, v: np.ndarray, w: np.ndarray, weights,
+                           noise_power: float, p_max: float, bounds: BoundsReport) -> float:
     """Norm of the projected-gradient fixed-point map at the exit iterate,
     ||V - Pi(V - gamma_safe grad f)||_F / max(1, ||V||_F), evaluated with
-    fresh MMSE receivers and the exit stage's weight matrices (``eye_w`` in
-    the unweighted stage)."""
+    fresh MMSE receivers and the exit stage's weight matrices ``w``."""
     u = update_receivers(h, v, noise_power)
-    w = update_weight_matrices(h, v, noise_power) if weighted else eye_w
     stepped = pgd_precoder_step(v, u, w, h, weights, bounds.gamma_safe, p_max)
     norm_v = math.sqrt(max(total_power(v), 0.0))
     return float(np.linalg.norm(v - stepped)) / max(1.0, norm_v)
@@ -439,6 +446,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
 
     v_curr = project_sum_power(init_precoders(config), config.p_max)
     v_old = v_curr
+    hv, g = received(h, v_curr), None  # the stack at Vhat, and its gain once formed
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
     eye_w.flags.writeable = False  # every unweighted-stage iterate shares it
     weighted = options.algorithm is Algorithm.WMMSE  # the stage latch: once set, to the end
@@ -454,10 +462,11 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     for t in range(1, options.max_iters + 1):
         if t >= 2 and omega > 0.0:
             v_hat = _finite(t, "extrapolation", extrapolate(v_curr, v_old, omega))
+            hv, g = received(h, v_hat), None
         else:
             v_hat = v_curr
 
-        u = _finite(t, "receiver", update_receivers(h, v_hat, sigma2))
+        u = _finite(t, "receiver", mmse_receivers(hv, sigma2))
 
         # Switch test: ``rel`` is still the change between iterations t-1 and t-2.
         if not weighted and rel <= options.eps1:
@@ -465,7 +474,8 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         stage = Stage.WEIGHTED if weighted else Stage.UNWEIGHTED
 
         if weighted:
-            w = _finite(t, "weight", update_weight_matrices(h, v_hat, sigma2))
+            g = mmse_gain(hv, sigma2) if g is None else g
+            w = _finite(t, "weight", gain_weights(g))
         else:
             w = eye_w
 
@@ -475,7 +485,9 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             v_new = update_precoders_exact(h, u, w, weights, config.p_max)
         v_new = _finite(t, "precoder", v_new)
 
-        snap = weighted_sum_rate(channels, v_new, weights)
+        hv = received(h, v_new)
+        g = mmse_gain(hv, sigma2)
+        snap = gain_snapshot(g, v_new, weights)
         rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, steps[-1][0].wsr_nats)
         blocks.append((u, w, v_hat, v_new))
         steps.append((snap, rel, stage))
@@ -488,8 +500,8 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
                 drop_streak = 0
             if drop_streak >= 5:
                 raise UnstableParametersError(
-                    f"weighted sum rate fell below half its running maximum for 5 "
-                    f"consecutive iterations: gamma={gamma!r}, omega={omega!r} are "
+                    f"iteration {t}: weighted sum rate fell below half its running maximum "
+                    f"for 5 consecutive iterations: gamma={gamma!r}, omega={omega!r} are "
                     "too aggressive for this instance")
 
         v_old, v_curr = v_curr, v_new
@@ -497,10 +509,12 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             converged = True
             break
 
+    # The last row's rate by the public route; the exit check starts after it.
+    steps[-1] = (weighted_sum_rate(channels, v_curr, weights), *steps[-1][1:])
     if bounds is None:
         bounds = compute_bounds(h, weights, config.p_max, sigma2)
-    residual = _stationarity_residual(
-        h, v_curr, weights, sigma2, config.p_max, bounds, eye_w, weighted=weighted)
+    w_exit = gain_weights(g) if weighted else eye_w  # g is the pass at v_curr
+    residual = _stationarity_residual(h, v_curr, w_exit, weights, sigma2, config.p_max, bounds)
     # The objective checkpoints of every iteration.  Row t's W_prev is row t-1's
     # W, so f_after_u and f_after_w are one pass over a (2, T, K, d, d) weight stack.
     us, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))

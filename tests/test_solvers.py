@@ -1,13 +1,15 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import wsrbeam as wb
+from wsrbeam import objective, solvers
 from wsrbeam.errors import ConfigError, UnstableParametersError
 from wsrbeam.model import total_power
-from wsrbeam.objective import weighted_gram
+from wsrbeam.objective import flatten_users, weighted_gram
 
 from conftest import make_system, mmse_blocks
 
@@ -249,6 +251,54 @@ class TestBisectDual:
         expected = 0.1 * u  # gram^+ b
         np.testing.assert_allclose(res.precoders[0], expected, atol=1e-8)
 
+    @staticmethod
+    def _subproblem(M, K, seed):
+        """The M x M gram and the targets of the precoder subproblem at a
+        random feasible point of an N = d = 2 system."""
+        cfg, ch = make_system(seed=seed, M=M, N=2, K=K, d=2)
+        u, w = mmse_blocks(ch, random_feasible(np.random.default_rng(seed), cfg))
+        return weighted_gram(ch, u, w, cfg.weight_vector), subproblem_targets(cfg, ch, u, w)
+
+    @staticmethod
+    def _reference_lambda(gram, targets, p_max):
+        """The root of sum_i c_i / (s_i + lam)^2 = p_max (1 - 1e-13) in 50
+        digits, from mpmath's own eigendecomposition of the gram."""
+        with mpmath.workdps(50):
+            s, e = mpmath.eighe(mpmath.matrix(gram.tolist()))
+            c = e.transpose_conj() * mpmath.matrix(flatten_users(targets).tolist())
+            weight = [sum(abs(c[i, j]) ** 2 for j in range(c.cols)) for i in range(c.rows)]
+            target = mpmath.mpf(p_max) * (1 - mpmath.mpf("1e-13"))
+            lo, hi = mpmath.mpf(0), mpmath.sqrt(sum(weight) / target)
+            for _ in range(200):  # P(lam) decreases in lam
+                mid = (lo + hi) / 2
+                if sum(wi / (si + mid) ** 2 for si, wi in zip(s, weight)) > target:
+                    lo = mid
+                else:
+                    hi = mid
+            return float((lo + hi) / 2)
+
+    # K*d < M: the M x M gram has rank K*d, so the solve drops its null space;
+    # K*d > M: the gram has full rank.
+    @pytest.mark.parametrize("M, K", [(12, 3), (6, 4)])
+    def test_active_lambda_matches_high_precision_root(self, M, K):
+        for seed in range(2):
+            gram, targets = self._subproblem(M, K, seed)
+            for p_max in (0.1, 1.0, 10.0):
+                res = wb.bisect_dual(gram, targets, p_max)
+                assert res.converged and res.lam > 0, (seed, p_max)
+                ref = self._reference_lambda(gram, targets, p_max)
+                assert res.lam == pytest.approx(ref, rel=1e-12, abs=0.0), (seed, p_max)
+                assert p_max * (1 - 1e-12) <= total_power(res.precoders) <= p_max, (seed, p_max)
+
+    @pytest.mark.parametrize("M, K", [(12, 3), (6, 4)])
+    def test_inactive_constraint_returns_minimum_norm_answer(self, M, K):
+        gram, targets = self._subproblem(M, K, 0)
+        res = wb.bisect_dual(gram, targets, 1e6)
+        assert res.lam == 0.0 and res.converged and res.iterations == 0
+        expected = np.linalg.pinv(gram, hermitian=True) @ flatten_users(targets)
+        got = flatten_users(res.precoders)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
 
 class TestUpdatePrecodersExact:
     def test_zero_receivers_zero_precoders(self, small_system):
@@ -469,7 +519,7 @@ class TestRunAmmmse:
         ch = wb.ChannelSet(h, wb.compute_noise_power(h, cfg.snr_db, cfg))
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, gamma=1000.0, omega=0.9,
                                 eps1=1e-8, eps2=1e-10, max_iters=300)
-        with pytest.raises(UnstableParametersError, match="gamma"):
+        with pytest.raises(UnstableParametersError, match=r"iteration \d+: .*gamma"):
             wb.solve(ch, cfg, opts)
 
     def test_iterate_norm_bounds_hold_along_trace(self):
@@ -648,3 +698,55 @@ def test_receive_rotation_leaves_solve_unchanged(algorithm):
                 v, v_moved = base.final_precoders.precoders, moved.final_precoders.precoders
                 worst = max(worst, float(np.linalg.norm(v_moved - v) / np.linalg.norm(v)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
+@pytest.mark.parametrize("M, K", [(8, 3), (32, 8), (4, 4)])
+def test_loop_and_public_functions_share_one_route(algorithm, M, K):
+    # The loop takes the receivers, the weights and the stop test's rate from
+    # one received stack per iterate, through the helpers the public functions
+    # use, so each recorded block is the public function's value, byte for
+    # byte.  Row t's blocks are taken at Vhat_t: V_{t-1}, with V_0 the
+    # projected initial draw, or A-MMMSE's extrapolated point.
+    cfg, ch = make_system(seed=2, M=M, N=2, K=K, d=2)
+    options = wb.SolverOptions(algorithm=algorithm)
+    res = wb.solve(ch, cfg, options)
+    omega = options.at_snr(cfg.snr_db).omega
+    sigma2 = ch.noise_power
+    v_old = v_prev = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
+    assert any(it.stage is wb.Stage.WEIGHTED for it in res.iterates)
+    for rec, it in zip(res.trace, res.iterates):
+        v_hat = v_prev
+        if algorithm == "ammmse" and rec.t >= 2:
+            v_hat = wb.extrapolate(v_prev, v_old, omega)
+        u = wb.update_receivers(ch, v_hat, sigma2)
+        assert it.receivers.tobytes() == u.tobytes(), rec.t
+        if it.stage is wb.Stage.WEIGHTED:
+            w = wb.update_weight_matrices(ch, v_hat, sigma2)
+            assert it.weight_matrices.tobytes() == w.tobytes(), rec.t
+        snap = wb.weighted_sum_rate(ch, it.precoders, cfg.weight_vector)
+        assert rec.wsr_bits == snap.wsr_bits, rec.t
+        v_old, v_prev = v_prev, it.precoders
+
+
+def test_one_received_stack_per_iterate(monkeypatch):
+    # WMMSE and MMMSE form H_k [V_1 ... V_K] once at V_0 and once per new
+    # iterate; A-MMMSE once at each Vhat_t (Vhat_1 = V_0) and once per new
+    # iterate.  Four more follow the loop: the last row's rate, the
+    # stationarity residual's receivers and the two checkpoint passes.
+    calls = []
+    original = objective.received
+
+    def counting(h, v):
+        calls.append(np.shape(v))
+        return original(h, v)
+
+    monkeypatch.setattr(objective, "received", counting)
+    monkeypatch.setattr(solvers, "received", counting)
+    cfg = wb.SystemConfig(M=32, N=2, K=8, d=2, snr_db=10.0, channel_seed=1, init_seed=1)
+    ch = wb.generate_channels(cfg)
+    for algorithm, per_iterate, fixed in (("wmmse", 1, 5), ("mmmse", 1, 5), ("ammmse", 2, 4)):
+        calls.clear()
+        res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
+        assert res.iterations >= 5
+        assert len(calls) == per_iterate * res.iterations + fixed, algorithm
