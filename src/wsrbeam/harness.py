@@ -226,11 +226,13 @@ def _sweep_points(spec: ExperimentSpec) -> list[tuple[str, SystemConfig]]:
 
 
 def _solve_one(args):
-    """One realization: generate the channels (with their noise power), solve.
+    """One realization: generate the channels (with their noise power), solve,
+    and with ``verify`` scan the solve's iterates against the bounds.
 
     Module-level so it can cross a process pool; returns (index, result,
-    wall seconds of the solve alone, error message or None).  The result
-    keeps its iterates only when ``verify`` asks for the bound scan.
+    wall seconds of the solve alone, error message or None, bound-scan
+    report or None).  The result never keeps its iterates: the scan runs
+    here, where they are, so they need not cross the process boundary.
     """
     index, config, options, verify = args
     try:
@@ -238,11 +240,15 @@ def _solve_one(args):
         start = time.perf_counter()
         result = solve(channels, config, options)
         wall = time.perf_counter() - start
-        if not verify:
-            result = dataclasses.replace(result, iterates=())
-        return index, result, wall, None
     except (WsrbeamError, np.linalg.LinAlgError) as exc:  # recorded, not fatal
-        return index, None, 0.0, f"{type(exc).__name__}: {exc}"
+        return index, None, 0.0, f"{type(exc).__name__}: {exc}", None
+    # Outside the try: an oracle error fails the run, not the realization.
+    report = None
+    if verify:
+        bounds = compute_bounds(channels, config.weight_vector, config.p_max,
+                                channels.noise_power)
+        report = check_lemma_bounds(channels, result, bounds, config.weight_vector)
+    return index, dataclasses.replace(result, iterates=()), wall, None, report
 
 
 def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
@@ -367,8 +373,10 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     worker count.  A-MMMSE's unset step parameters are resolved here, per
     sweep point, by :meth:`SolverOptions.at_snr`: each point records the step
     that ran, while ``spec.solver`` keeps what the spec asked for.
-    ``verify`` attaches the bound scan of every trace and the
-    finite-difference gradient check, both run in this process.
+    ``verify`` attaches the bound scan of every trace, run by the job that
+    made the trace, and the finite-difference gradient check, a job of its
+    own submitted to the pool before the solves so that it runs beside them.
+    An oracle that raises fails the run.
     """
     outdir = spec.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -380,13 +388,18 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     workers = spec.parallel_workers
     if workers == 0:
         workers = min(len(jobs), os.cpu_count() or 1)
-    # Every solve finishes before any point is reduced, so the trace and
-    # verify work below never runs beside the workers.
+    # Every job, oracles included, finishes before any point is reduced, so
+    # the reduction below sees the same results whatever the worker count.
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Queued first, the gradient check (the longest job) starts at
+            # once and runs beside the solves.
+            gradient = pool.submit(_gradient_fd_report, spec.base) if verify else None
             raw_results = list(pool.map(_solve_one, jobs))
+            fd_report = gradient.result() if verify else None
     else:
         raw_results = [_solve_one(job) for job in jobs]
+        fd_report = _gradient_fd_report(spec.base) if verify else None
 
     point_summaries: list[PointSummary] = []
     oracle_reports: list[OracleReport] = []
@@ -397,7 +410,7 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
         failures: list[str] = []
         n_converged = 0
         lemma_reports: list[OracleReport] = []
-        for (r, cfg_r, _, _), (_, result, wall, error) in zip(jobs[point], raw_results[point]):
+        for (r, _, _, _), (_, result, wall, error, lemma) in zip(jobs[point], raw_results[point]):
             if error is not None:
                 failures.append(f"seed {r}: {error}")
                 continue
@@ -410,12 +423,8 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
             walls.append(wall)
             if result.converged:
                 n_converged += 1
-            if verify:
-                channels = generate_channels(cfg_r)
-                bounds = compute_bounds(channels, cfg_r.weight_vector, cfg_r.p_max,
-                                        channels.noise_power)
-                lemma_reports.append(
-                    check_lemma_bounds(channels, result, bounds, cfg_r.weight_vector))
+            if lemma is not None:
+                lemma_reports.append(lemma)
 
         wsr_mean, wsr_std = _mean_std(wsr)
         it_mean, it_std = _mean_std(iters)
@@ -438,13 +447,11 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
             wall_time_mean=wall_mean,
             wall_time_std=wall_std,
         ))
-        if verify and lemma_reports:
+        if lemma_reports:
             oracle_reports.append(_merge_lemma_reports(label, lemma_reports))
 
-    if verify:
-        fd_report = _gradient_fd_report(spec.base)
-        if fd_report is not None:
-            oracle_reports.append(fd_report)
+    if fd_report is not None:
+        oracle_reports.append(fd_report)
 
     summary = RunSummary(spec=spec, points=tuple(point_summaries),
                          oracle_reports=tuple(oracle_reports))

@@ -261,15 +261,18 @@ class TestRunExperiment:
         assert docs[0] == docs[1]
         assert bool(docs[0]["oracles"]) == verify
 
-    def test_one_pool_per_run(self, tmp_path, monkeypatch):
-        # One pool maps every (sweep point, realization) job, point-major.
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    def test_one_pool_per_run(self, tmp_path, monkeypatch, verify):
+        # One pool maps every (sweep point, realization) job, point-major;
+        # with verify, the gradient check is submitted to it first.
         import dataclasses
+        from concurrent.futures import Future
         import wsrbeam.harness as harness
         made = []
 
         class CountingPool:
             def __init__(self, max_workers):
-                self.maps = []
+                self.calls = []
                 made.append(self)
 
             def __enter__(self):
@@ -278,29 +281,47 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
+            def submit(self, fn, *args):
+                self.calls.append(("submit", fn, args))
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
             def map(self, fn, jobs):
                 jobs = list(jobs)
-                self.maps.append((fn, jobs))
+                self.calls.append(("map", fn, jobs))
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         spec = wb.parse_experiment(spec_text(n_realizations=2, max_iters=30,
                                              sweep={"snr_db": [0, 10, 20]}))
-        wb.run_experiment(dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=2))
-        assert len(made) == 1 and len(made[0].maps) == 1
-        fn, jobs = made[0].maps[0]
+        summary = wb.run_experiment(
+            dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=2), verify=verify)
+        assert len(made) == 1
+        calls = made[0].calls
+        assert [kind for kind, _, _ in calls] == (["submit", "map"] if verify else ["map"])
+        if verify:
+            assert calls[0][1:] == (harness._gradient_fd_report, (spec.base,))
+            assert summary.oracle_reports[-1].name == "gradient_finite_difference"
+        _, fn, jobs = calls[-1]
         assert fn is harness._solve_one
         assert [(job[0], job[1].snr_db, job[1].channel_seed) for job in jobs] == [
             (r, snr, r) for snr in (0.0, 10.0, 20.0) for r in range(2)]
 
-    def test_iterates_returned_only_when_verifying(self):
+    def test_solve_one_returns_no_iterates_and_scans_only_when_verifying(self):
+        # The bound scan runs where the iterates are; they never leave it.
         import wsrbeam.harness as harness
         cfg = wb.SystemConfig(**MINIMAL)
         options = wb.SolverOptions(max_iters=20)
         for verify in (False, True):
-            index, result, wall, error = harness._solve_one((5, cfg, options, verify))
+            index, result, wall, error, report = harness._solve_one((5, cfg, options, verify))
             assert (index, error) == (5, None) and wall > 0.0
-            assert len(result.iterates) == (result.iterations if verify else 0)
+            assert result.iterates == ()
+            if verify:
+                assert report.name == "lemma_bounds" and report.passed
+                assert report.instances == result.iterations
+            else:
+                assert report is None
 
     def test_summary_contents(self, tmp_path):
         import dataclasses
@@ -338,6 +359,44 @@ class TestRunExperiment:
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["points"][0]["convergence_rate"] == pytest.approx(2 / 3)
         assert not (tmp_path / "wmmse_base_seed1.csv").exists()
+
+    def test_bound_scan_error_fails_the_run(self, tmp_path, monkeypatch):
+        # The scan runs in the realization's job but outside its failure
+        # rule: an oracle error propagates, it is no failed realization.
+        import wsrbeam.harness as harness
+
+        def broken_scan(*args, **kwargs):
+            raise wb.WsrbeamError("synthetic oracle error")
+
+        monkeypatch.setattr(harness, "check_lemma_bounds", broken_scan)
+        spec = wb.parse_experiment(spec_text(n_realizations=2, max_iters=20))
+        spec = dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=1)
+        with pytest.raises(wb.WsrbeamError, match="synthetic oracle error"):
+            wb.run_experiment(spec, verify=True)
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_failed_realization_leaves_the_scan_of_the_others(self, tmp_path, monkeypatch):
+        import wsrbeam.harness as harness
+        real_solve = harness.solve
+        solved = {}
+
+        def flaky(channels, config, options):
+            if config.channel_seed == 1:
+                raise wb.NumericalError("iteration 3: synthetic overflow")
+            solved[config.channel_seed] = real_solve(channels, config, options)
+            return solved[config.channel_seed]
+
+        monkeypatch.setattr(harness, "solve", flaky)
+        spec = wb.parse_experiment(spec_text(n_realizations=3, max_iters=40))
+        spec = dataclasses.replace(spec, output_dir=tmp_path, parallel_workers=1)
+        summary = wb.run_experiment(spec, verify=True)
+        point = summary.points[0]
+        assert point.failures == ("seed 1: NumericalError: iteration 3: synthetic overflow",)
+        assert sorted(solved) == [0, 2] and point.n_completed == 2
+        lemma = [r for r in summary.oracle_reports if r.name.startswith("lemma_bounds")]
+        assert [r.name for r in lemma] == ["lemma_bounds[base]"]
+        assert lemma[0].instances == sum(len(r.iterates) for r in solved.values())
+        assert lemma[0].passed
 
     def test_verify_attaches_oracles(self, tmp_path):
         import dataclasses
