@@ -23,15 +23,16 @@ I + G_k the weights and sum log1p eig G_k the rates.  For WMMSE and MMMSE the
 pass at V_t serves step 4 of iteration t and step 2 of t+1; A-MMMSE forms
 one more stack, at each Vhat.  Through the public functions' helpers, the
 loop's values are theirs bit for bit.  One ``weighted_sum_rate`` call stays
-after the loop, for the last row: perfbench/metrics.py starts a solve's exit
-check where it ends.
+after the loop, for the last row, on the full channels: perfbench/metrics.py
+starts a solve's exit check where it ends.
 
 The loop keeps each iteration's blocks (U, W, Vhat, V).  The records come
-after it, in two stacked :func:`~.objective.wmmse_objective` passes over the
-(T, K, ., .) stacks of those blocks: ``f_after_u`` and ``f_after_w`` share
-one MSE stack at (U, Vhat), weighted by W_prev (row t-1's W, the identity
-before row 1) and by W, and ``f_after_v`` is the other pass.  The blocks
-become the result's :class:`BlockIterate` records.
+after it, in one stacked :func:`~.objective.wmmse_objective` pass over the
+(T, K, ., .) stacks of those blocks: the MSE stacks at (U, Vhat) and (U, V),
+each weighted by W_prev (row t-1's W, the identity before row 1) and by W.
+``f_after_u`` and ``f_after_w`` are (U, Vhat) under W_prev and W,
+``f_after_v`` is (U, V) under W.  The blocks become the result's
+:class:`BlockIterate` records.
 
 No M x M matrix is formed in the iteration loop.  Both precoder updates work
 with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
@@ -39,8 +40,20 @@ the exact update solves its subproblem in the column space of F, of
 dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
 Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
 update and O(M (Kd)^2) for the gradient step, and the MMSE pass
-O(K^2 N M d), all users at once, with no per-user loop.  For Kd <= M an
-iteration is linear in M.
+O(K^2 N M d), all users at once, with no per-user loop.
+
+Every iterate lies in S = span([H_1^H ... H_K^H, V_0]), of dimension at most
+r = KN + Kd: the exact update and the gradient lie in the range of F, inside
+that of H^H, and extrapolation and projection combine earlier iterates.  So
+when r < M, :func:`solve` takes one thin QR Q (M x r) of [H^H, V_0] per
+solve (O(M r^2)), runs the loop unchanged on H_k Q and X = Q^H V_0, and maps
+every stored iterate back as V = Q X.  An iteration then costs what it costs
+at M = r, and the M-sized work is the QR, H Q and the map-back.  Receivers,
+weights, rates, the objective checkpoints and the stationarity residual do
+not change under V = Q X, so they are taken in the loop's coordinates; the
+bounds and the last row's rate are taken on the full channels.  Without V_0
+in the basis A-MMMSE would start from its projection onto range(H^H), a
+different solve.  When r >= M the loop runs in all M dimensions.
 
 The loop works on plain (K, ., .) ndarrays: every block function reads its
 block arguments (arrays or matrix sets) through ``np.asarray``, returns an
@@ -418,6 +431,16 @@ def _stationarity_residual(h: np.ndarray, v: np.ndarray, w: np.ndarray, weights,
     return float(np.linalg.norm(v - stepped)) / max(1.0, norm_v)
 
 
+def _subspace_basis(h: np.ndarray, v0: np.ndarray) -> np.ndarray | None:
+    """An orthonormal basis Q (M x r) of a space that holds every iterate:
+    the thin QR of [H_1^H ... H_K^H, V_0], r = KN + Kd; None when r >= M."""
+    K, N, M = h.shape
+    if K * (N + v0.shape[2]) >= M:
+        return None
+    a = np.concatenate([flatten_users(np.conj(np.swapaxes(h, 1, 2))), flatten_users(v0)], axis=1)
+    return np.linalg.qr(a)[0]
+
+
 def _finite(t: int, block: str, out: np.ndarray) -> np.ndarray:
     """``out``, the output of a block update of iteration ``t``, if finite."""
     if not np.isfinite(out).all():
@@ -445,6 +468,11 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         gamma = bounds.gamma_safe
 
     v_curr = project_sum_power(init_precoders(config), config.p_max)
+    # When r = KN + Kd < M, the loop runs in the coordinates of the basis Q
+    # of span([H^H, V_0]): channels H_k Q and precoders X with V = Q X.
+    q = _subspace_basis(h, v_curr)
+    if q is not None:
+        h, v_curr = h @ q, q.conj().T @ v_curr
     v_old = v_curr
     hv, g = received(h, v_curr), None  # the stack at Vhat, and its gain once formed
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
@@ -509,32 +537,37 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             converged = True
             break
 
-    # The last row's rate by the public route; the exit check starts after it.
-    steps[-1] = (weighted_sum_rate(channels, v_curr, weights), *steps[-1][1:])
+    us, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
+    vs_full = vs  # every iterate in M dimensions, mapped back in one product
+    if q is not None:
+        vs_full = np.swapaxes((q @ flatten_users(vs)).reshape(len(vs), -1, config.K, config.d), 1, 2)
+    # The last row's rate by the public route, on the full channels; the exit
+    # check starts after it.
+    steps[-1] = (weighted_sum_rate(channels, vs_full[-1], weights), *steps[-1][1:])
     if bounds is None:
-        bounds = compute_bounds(h, weights, config.p_max, sigma2)
+        bounds = compute_bounds(channels, weights, config.p_max, sigma2)
     w_exit = gain_weights(g) if weighted else eye_w  # g is the pass at v_curr
     residual = _stationarity_residual(h, v_curr, w_exit, weights, sigma2, config.p_max, bounds)
-    # The objective checkpoints of every iteration.  Row t's W_prev is row t-1's
-    # W, so f_after_u and f_after_w are one pass over a (2, T, K, d, d) weight stack.
-    us, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
+    # The objective checkpoints of every iteration, in one pass: the MSE stack
+    # at (U, Vhat) and (U, V), each weighted by W_prev (row t-1's W, the
+    # identity before row 1) and by W; three of the four (2, 2, T) values are read.
     w_prevs = np.concatenate([eye_w[None], ws[:-1]])
-    f_after_u, f_after_w = wmmse_objective(
-        us, np.stack([w_prevs, ws]), v_hats, h, weights, sigma2).tolist()
-    f_after_v = wmmse_objective(us, ws, vs, h, weights, sigma2).tolist()
+    f = wmmse_objective(us, np.stack([w_prevs, ws])[None], np.stack([v_hats, vs])[:, None],
+                        h, weights, sigma2)
+    f_after_u, f_after_w, f_after_v = f[0, 0].tolist(), f[0, 1].tolist(), f[1, 1].tolist()
     records = tuple(
         IterationRecord(t=t, wsr_bits=snap.wsr_bits, total_power=snap.total_power,
                         stage=stage, f_after_u=fu, f_after_w=fw, f_after_v=fv, rel_change=rel)
         for t, ((snap, rel, stage), fu, fw, fv)
         in enumerate(zip(steps, f_after_u, f_after_w, f_after_v), start=1))
     return SolveResult(
-        final_precoders=PrecoderSet(v_curr),
+        final_precoders=PrecoderSet(vs_full[-1]),
         trace=records,
         iterations=len(records),
         converged=converged,
         stationarity_residual=residual,
         switch_iteration=switch_iteration,
         iterates=tuple(BlockIterate(u, w, v, stage)
-                       for (u, w, _, v), (_, _, stage) in zip(blocks, steps)),
+                       for (u, w, _, _), v, (_, _, stage) in zip(blocks, vs_full, steps)),
     )
 

@@ -2,10 +2,12 @@
 
 The table pins what each solve ends with -- the iteration count, the switch
 iteration of the two-stage solvers, the converged flag and the final weighted
-sum rate -- on M8/K3 and M16/K4 (N = 2, d = 2) at 0, 10 and 20 dB, with
-channel_seed = init_seed = 0, 1, 2 and default options.  A refactor that is
-meant to keep behaviour must keep every row: counts and flags exactly, the
-rate to 1e-10 relative.
+sum rate -- on M8/K3, M16/K4 and M64/K4 (N = 2, d = 2) at 0, 10 and 20 dB,
+with channel_seed = init_seed = 0, 1, 2 and default options.  M64/K4 is the
+one shape with KN + Kd < M, where the loop runs in the subspace basis; its
+rows were taken with the loop in all M dimensions.  A refactor that is meant
+to keep behaviour must keep every row: counts and flags exactly, the rate to
+1e-10 relative.
 """
 
 import pytest
@@ -68,7 +70,33 @@ GOLDEN = [
     (16, 4, 20.0, 2, 'wmmse', 7, None, True, 49.744536215580595),
     (16, 4, 20.0, 2, 'mmmse', 6, 4, True, 49.74061171939014),
     (16, 4, 20.0, 2, 'ammmse', 74, 3, True, 46.24474937081761),
-
+    (64, 4, 0.0, 0, 'wmmse', 7, None, True, 8.978695593935187),
+    (64, 4, 0.0, 0, 'mmmse', 6, 3, True, 8.981075280444369),
+    (64, 4, 0.0, 0, 'ammmse', 10, 7, True, 8.975729533294182),
+    (64, 4, 0.0, 1, 'wmmse', 6, None, True, 9.100815640036283),
+    (64, 4, 0.0, 1, 'mmmse', 4, 4, True, 9.100222537644902),
+    (64, 4, 0.0, 1, 'ammmse', 9, 7, True, 9.099262057874943),
+    (64, 4, 0.0, 2, 'wmmse', 6, None, True, 9.035882190014723),
+    (64, 4, 0.0, 2, 'mmmse', 4, 3, True, 9.035740453404586),
+    (64, 4, 0.0, 2, 'ammmse', 9, 7, True, 9.032564480001392),
+    (64, 4, 10.0, 0, 'wmmse', 10, None, True, 28.831131603910332),
+    (64, 4, 10.0, 0, 'mmmse', 8, 3, True, 28.81948656826954),
+    (64, 4, 10.0, 0, 'ammmse', 18, 8, True, 28.737186009957924),
+    (64, 4, 10.0, 1, 'wmmse', 9, None, True, 29.2216838575259),
+    (64, 4, 10.0, 1, 'mmmse', 9, 3, True, 29.2302113179886),
+    (64, 4, 10.0, 1, 'ammmse', 14, 8, True, 29.276758685142045),
+    (64, 4, 10.0, 2, 'wmmse', 7, None, True, 28.96787464634527),
+    (64, 4, 10.0, 2, 'mmmse', 7, 3, True, 28.973365554277184),
+    (64, 4, 10.0, 2, 'ammmse', 14, 8, True, 29.020489929202093),
+    (64, 4, 20.0, 0, 'wmmse', 30, None, True, 53.19087844712674),
+    (64, 4, 20.0, 0, 'mmmse', 30, 3, True, 53.156689811711416),
+    (64, 4, 20.0, 0, 'ammmse', 62, 13, True, 53.58805931435069),
+    (64, 4, 20.0, 1, 'wmmse', 38, None, True, 53.44220059326303),
+    (64, 4, 20.0, 1, 'mmmse', 39, 3, True, 53.47784782039392),
+    (64, 4, 20.0, 1, 'ammmse', 57, 3, True, 54.070868601471645),
+    (64, 4, 20.0, 2, 'wmmse', 34, None, True, 53.222809380740955),
+    (64, 4, 20.0, 2, 'mmmse', 34, 3, True, 53.21379440907358),
+    (64, 4, 20.0, 2, 'ammmse', 61, 13, True, 53.741971427697685),
 ]
 
 

@@ -10,6 +10,9 @@ model maps to known changes of every output.
 * H -> H Theta with V -> Theta^H V, Theta unitary (a change of transmit basis),
   leaves the receivers, weights, MSE matrices, rates and objective unchanged
   and maps the gradient and both precoder updates to Theta^H times them.
+  At solve level, with the initial draw V_0 -> Theta^H V_0 as well, the whole
+  solve is the same with precoders Theta^H V, whether the loop runs in all M
+  dimensions or in the basis of span([H^H, V_0]).
 
 Every comparison holds to TOL relative to the Frobenius norm of the expected
 output: the transformed inputs round differently, nothing more.
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 import wsrbeam as wb
+from wsrbeam import solvers
 
 from conftest import make_system, mmse_blocks
 
@@ -99,3 +103,31 @@ def test_transmit_rotation(shape, seed):
         base = block(h, u, w, v, alpha, sigma2)
         moved = block(h @ theta, u, w, theta.conj().T @ v, alpha, sigma2)
         assert_close(moved, theta.conj().T @ base if name in rotated else base, name)
+
+
+@pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
+def test_transmit_rotation_of_the_solve(algorithm, monkeypatch):
+    # M8/K3 and M16/K4 run the loop in M dimensions, M64/K4 and M128/K4
+    # (KN + Kd = 16 < M) in the subspace basis.
+    options = wb.SolverOptions(algorithm=algorithm)
+    draw = solvers.init_precoders
+    for M, K in ((8, 3), (16, 4), (64, 4), (128, 4)):
+        for snr in (0.0, 10.0, 20.0):
+            for seed in range(3):
+                cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=snr,
+                                      channel_seed=seed, init_seed=seed)
+                ch = wb.generate_channels(cfg)
+                theta = unitary(np.random.default_rng(seed + 90), M)
+                base = wb.solve(ch, cfg, options)
+                with monkeypatch.context() as m:
+                    m.setattr(solvers, "init_precoders", lambda c: theta.conj().T @ draw(c))
+                    moved = wb.solve(wb.ChannelSet(ch.channels @ theta, noise_power=ch.noise_power),
+                                     cfg, options)
+                case = (M, K, snr, seed)
+                assert moved.iterations == base.iterations, case
+                assert moved.switch_iteration == base.switch_iteration, case
+                assert moved.converged == base.converged, case
+                assert moved.trace[-1].wsr_bits == pytest.approx(
+                    base.trace[-1].wsr_bits, rel=TOL, abs=0.0), case
+                assert_close(moved.final_precoders.precoders,
+                             theta.conj().T @ base.final_precoders.precoders, case)

@@ -701,39 +701,67 @@ def test_receive_rotation_leaves_solve_unchanged(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
-@pytest.mark.parametrize("M, K", [(8, 3), (32, 8), (4, 4)])
-def test_loop_and_public_functions_share_one_route(algorithm, M, K):
+@pytest.mark.parametrize("M, K", [(8, 3), (32, 8), (4, 4), (64, 4)])
+def test_loop_and_public_functions_share_one_route(algorithm, M, K, monkeypatch):
     # The loop takes the receivers, the weights and the stop test's rate from
     # one received stack per iterate, through the helpers the public functions
     # use, so each recorded block is the public function's value, byte for
     # byte.  Row t's blocks are taken at Vhat_t: V_{t-1}, with V_0 the
-    # projected initial draw, or A-MMMSE's extrapolated point.
+    # projected initial draw, or A-MMMSE's extrapolated point.  At M64/K4,
+    # KN + Kd = 16 < M, so the loop runs on H Q and X = Q^H V_0 with Q the
+    # subspace basis: its blocks are the public functions' there, each stored
+    # iterate is Q X_t (to rounding: the map-back is one product over all
+    # iterates), and the last row's rate is taken on the full channels.
     cfg, ch = make_system(seed=2, M=M, N=2, K=K, d=2)
     options = wb.SolverOptions(algorithm=algorithm)
+    updates = []  # the loop's precoder updates X_t, in its own coordinates
+    name = "pgd_precoder_step" if algorithm == "ammmse" else "update_precoders_exact"
+    update = getattr(solvers, name)
+
+    def recording(*args):
+        updates.append(update(*args))
+        return updates[-1]
+
+    monkeypatch.setattr(solvers, name, recording)
     res = wb.solve(ch, cfg, options)
     omega = options.at_snr(cfg.snr_db).omega
     sigma2 = ch.noise_power
-    v_old = v_prev = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
+    v0 = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
+    q = solvers._subspace_basis(ch.channels, v0)
+    assert (q is not None) == (2 * K + 2 * K < M)
+    loop_ch = ch if q is None else wb.ChannelSet(ch.channels @ q, noise_power=sigma2)
+    v_old = v_prev = v0 if q is None else q.conj().T @ v0
     assert any(it.stage is wb.Stage.WEIGHTED for it in res.iterates)
-    for rec, it in zip(res.trace, res.iterates):
+    # The stationarity residual takes one more gradient step, after the loop.
+    assert len(updates) == res.iterations + (algorithm == "ammmse")
+    for rec, it, x in zip(res.trace, res.iterates, updates):
         v_hat = v_prev
         if algorithm == "ammmse" and rec.t >= 2:
             v_hat = wb.extrapolate(v_prev, v_old, omega)
-        u = wb.update_receivers(ch, v_hat, sigma2)
+        u = wb.update_receivers(loop_ch, v_hat, sigma2)
         assert it.receivers.tobytes() == u.tobytes(), rec.t
         if it.stage is wb.Stage.WEIGHTED:
-            w = wb.update_weight_matrices(ch, v_hat, sigma2)
+            w = wb.update_weight_matrices(loop_ch, v_hat, sigma2)
             assert it.weight_matrices.tobytes() == w.tobytes(), rec.t
-        snap = wb.weighted_sum_rate(ch, it.precoders, cfg.weight_vector)
+        if q is None:
+            assert it.precoders.tobytes() == x.tobytes(), rec.t
+        else:
+            assert np.linalg.norm(it.precoders - q @ x) <= 1e-14 * np.linalg.norm(x), rec.t
+        if rec.t == res.iterations:
+            snap = wb.weighted_sum_rate(ch, it.precoders, cfg.weight_vector)
+        else:
+            snap = wb.weighted_sum_rate(loop_ch, x, cfg.weight_vector)
         assert rec.wsr_bits == snap.wsr_bits, rec.t
-        v_old, v_prev = v_prev, it.precoders
+        v_old, v_prev = v_prev, x
 
 
 def test_one_received_stack_per_iterate(monkeypatch):
     # WMMSE and MMMSE form H_k [V_1 ... V_K] once at V_0 and once per new
     # iterate; A-MMMSE once at each Vhat_t (Vhat_1 = V_0) and once per new
-    # iterate.  Four more follow the loop: the last row's rate, the
-    # stationarity residual's receivers and the two checkpoint passes.
+    # iterate.  Three more follow the loop: the last row's rate, the
+    # stationarity residual's receivers and the one checkpoint pass.  M32/K8
+    # runs the loop in M dimensions, M64/K4 in the KN + Kd = 16 of its
+    # subspace basis; the counts are the same.
     calls = []
     original = objective.received
 
@@ -743,10 +771,41 @@ def test_one_received_stack_per_iterate(monkeypatch):
 
     monkeypatch.setattr(objective, "received", counting)
     monkeypatch.setattr(solvers, "received", counting)
-    cfg = wb.SystemConfig(M=32, N=2, K=8, d=2, snr_db=10.0, channel_seed=1, init_seed=1)
-    ch = wb.generate_channels(cfg)
-    for algorithm, per_iterate, fixed in (("wmmse", 1, 5), ("mmmse", 1, 5), ("ammmse", 2, 4)):
-        calls.clear()
-        res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
-        assert res.iterations >= 5
-        assert len(calls) == per_iterate * res.iterations + fixed, algorithm
+    for M, K in ((32, 8), (64, 4)):
+        cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=10.0, channel_seed=1, init_seed=1)
+        ch = wb.generate_channels(cfg)
+        for algorithm, per_iterate, fixed in (("wmmse", 1, 4), ("mmmse", 1, 4), ("ammmse", 2, 3)):
+            calls.clear()
+            res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
+            assert res.iterations >= 5
+            assert len(calls) == per_iterate * res.iterations + fixed, (M, K, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
+def test_subspace_route_matches_full_route(algorithm, monkeypatch):
+    # With KN + Kd < M (r = 8, 16 and 16 here) every iterate lies in
+    # span([H^H, V_0]) and the loop runs in its basis.  Forcing the loop into
+    # all M dimensions gives the same solve: the same counts and flags, and the
+    # rate and the final precoders to rounding (worst seen: 7e-14 and 5e-14
+    # relative, both from A-MMMSE).
+    options = wb.SolverOptions(algorithm=algorithm)
+    worst = 0.0
+    for M, K in ((64, 2), (128, 4), (1024, 4)):
+        for snr in (0.0, 10.0, 20.0):
+            for seed in range(3):
+                cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=snr,
+                                      channel_seed=seed, init_seed=seed)
+                ch = wb.generate_channels(cfg)
+                reduced = wb.solve(ch, cfg, options)
+                with monkeypatch.context() as m:
+                    m.setattr(solvers, "_subspace_basis", lambda h, v0: None)
+                    full = wb.solve(ch, cfg, options)
+                case = (M, K, snr, seed)
+                assert reduced.iterations == full.iterations, case
+                assert reduced.switch_iteration == full.switch_iteration, case
+                assert reduced.converged == full.converged, case
+                assert reduced.trace[-1].wsr_bits == pytest.approx(
+                    full.trace[-1].wsr_bits, rel=1e-10, abs=0.0), case
+                v, v_full = reduced.final_precoders.precoders, full.final_precoders.precoders
+                worst = max(worst, float(np.linalg.norm(v - v_full) / np.linalg.norm(v_full)))
+    assert worst <= 1e-10
