@@ -45,7 +45,6 @@ from .solvers import (
     SolveResult,
     SolverOptions,
     bisect_dual,
-    default_step_parameters,
     extrapolate,
     pgd_precoder_step,
     project_sum_power,

@@ -121,11 +121,9 @@ def parse_experiment(text: str) -> ExperimentSpec:
     :class:`~.solvers.SolverOptions` and :class:`ExperimentSpec` (bar its
     ``base`` and ``solver``); each goes to its dataclass, which validates it
     and supplies the defaults of the keys left out.  ``M``, ``N``, ``K``,
-    ``d`` and ``snr_db`` are required.  Unset omega and gamma stay unset:
-    :func:`run_experiment` resolves them per sweep point, for the algorithm
-    that runs there.  A key repeated in any object, an unknown key, a value of
-    the wrong type and an invalid range are rejected with the offending key
-    named.
+    ``d`` and ``snr_db`` are required.  A key repeated in any object, an
+    unknown key, a value of the wrong type and an invalid range are rejected
+    with the offending key named.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_reject_repeated_keys)
@@ -258,15 +256,10 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     return float(arr.mean()), float(arr.std())
 
 
-def _solver_dict(options: SolverOptions) -> dict:
-    return {**dataclasses.asdict(options), "algorithm": options.algorithm.value}
-
-
 @dataclass(frozen=True)
 class PointSummary:
     label: str
     config: SystemConfig
-    solver: SolverOptions
     n_realizations: int
     n_completed: int
     n_converged: int
@@ -298,12 +291,13 @@ class RunSummary:
         points = [
             {**{key: value for key, value in dataclasses.asdict(p).items()
                 if not key.startswith("wall_time_")},
-             "solver": _solver_dict(p.solver),
              "convergence_rate": p.n_converged / p.n_realizations}
             for p in self.points
         ]
         return {
-            "spec": {**dataclasses.asdict(self.spec), "solver": _solver_dict(self.spec.solver),
+            "spec": {**dataclasses.asdict(self.spec),
+                     "solver": {**dataclasses.asdict(self.spec.solver),
+                                "algorithm": self.spec.solver.algorithm.value},
                      "output_dir": str(self.spec.output_dir)},
             "points": points,
             "oracles": [dataclasses.asdict(r) for r in self.oracle_reports],
@@ -370,21 +364,18 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     process pool solves every (point, realization) job of the run; results
     are reduced point by point, in realization order, once all are in, so
     identical specs produce byte-identical CSV and summary JSON whatever the
-    worker count.  A-MMMSE's unset step parameters are resolved here, per
-    sweep point, by :meth:`SolverOptions.at_snr`: each point records the step
-    that ran, while ``spec.solver`` keeps what the spec asked for.
-    ``verify`` attaches the bound scan of every trace, run by the job that
-    made the trace, and the finite-difference gradient check, a job of its
-    own submitted to the pool before the solves so that it runs beside them.
-    An oracle that raises fails the run.
+    worker count.  ``verify`` attaches the bound scan of every trace, run by
+    the job that made the trace, and the finite-difference gradient check, a
+    job of its own submitted to the pool before the solves so that it runs
+    beside them.  An oracle that raises fails the run.
     """
     outdir = spec.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
 
-    points = [(label, cfg, spec.solver.at_snr(cfg.snr_db)) for label, cfg in _sweep_points(spec)]
+    points = _sweep_points(spec)
     jobs = [(r, dataclasses.replace(cfg, channel_seed=cfg.channel_seed + r,
-                                    init_seed=cfg.init_seed + r), point_options, verify)
-            for _, cfg, point_options in points for r in range(spec.n_realizations)]
+                                    init_seed=cfg.init_seed + r), spec.solver, verify)
+            for _, cfg in points for r in range(spec.n_realizations)]
     workers = spec.parallel_workers
     if workers == 0:
         workers = min(len(jobs), os.cpu_count() or 1)
@@ -404,7 +395,7 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
     point_summaries: list[PointSummary] = []
     oracle_reports: list[OracleReport] = []
     n = spec.n_realizations
-    for p, (label, point_cfg, point_options) in enumerate(points):
+    for p, (label, point_cfg) in enumerate(points):
         point = slice(p * n, (p + 1) * n)
         wsr, iters, switches, walls, residuals = [], [], [], [], []
         failures: list[str] = []
@@ -414,7 +405,7 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
             if error is not None:
                 failures.append(f"seed {r}: {error}")
                 continue
-            emit_trace(result, outdir / f"{point_options.algorithm.value}_{label}_seed{r}.csv")
+            emit_trace(result, outdir / f"{spec.solver.algorithm.value}_{label}_seed{r}.csv")
             wsr.append(result.trace[-1].wsr_bits)
             iters.append(float(result.iterations))
             if result.switch_iteration is not None:
@@ -433,7 +424,6 @@ def run_experiment(spec: ExperimentSpec, verify: bool = False) -> RunSummary:
         point_summaries.append(PointSummary(
             label=label,
             config=point_cfg,
-            solver=point_options,
             n_realizations=n,
             n_completed=len(wsr),
             n_converged=n_converged,

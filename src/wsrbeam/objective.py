@@ -218,6 +218,14 @@ class PrecoderFactor(NamedTuple):
     f: np.ndarray
     dmat: np.ndarray
 
+    def gradient(self, precoders) -> np.ndarray:
+        """The (K, M, d) gradient 2 F D (F^H V - I) at ``precoders``
+        (:func:`gradient_v`), in O(M (Kd)^2) and with no M x M product."""
+        v = np.asarray(precoders)
+        K, _, d = v.shape
+        return split_users(2.0 * (self.f @ (self.dmat @ (self.f.conj().T @ flatten_users(v)
+                                                         - np.eye(K * d)))), K, d)
+
 
 def precoder_factor(channels, receivers, weight_matrices, weights) -> PrecoderFactor:
     """F and D of the precoder subproblem at the given receivers and weights."""
@@ -251,13 +259,9 @@ def gradient_v(receivers, weight_matrices, precoders, channels, weights) -> np.n
 
     where the complex gradient is the real gradient over the stacked real and
     imaginary coordinates.  It is evaluated in the factored form
-    2 F D (F^H V - I) with V = [V_1 ... V_K] (see :class:`PrecoderFactor`),
-    in O(M (Kd)^2) and with no M x M product.
+    2 F D (F^H V - I) with V = [V_1 ... V_K] (:meth:`PrecoderFactor.gradient`).
     """
-    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
-    v = np.asarray(precoders)
-    K, _, d = v.shape
-    return split_users(2.0 * (f @ (dmat @ (f.conj().T @ flatten_users(v) - np.eye(K * d)))), K, d)
+    return precoder_factor(channels, receivers, weight_matrices, weights).gradient(precoders)
 
 
 def compute_bounds(channels, weights, p_max: float, noise_power: float) -> BoundsReport:

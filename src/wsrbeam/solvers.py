@@ -7,7 +7,8 @@ weights from the first iteration, the other two start in the unweighted
 stage; A-MMMSE takes one gradient step from an extrapolated point, the other
 two the exact update.  Each iteration of the loop runs:
 
-  1. extrapolate the precoders (A-MMMSE, from the second iteration on),
+  1. extrapolate the precoders (A-MMMSE, from the second iteration on, unless
+     the last iteration lowered the weighted sum rate: see below),
   2. the MMSE receive filters at Vhat and, once the stage latch has fired,
      the weights there (the identity in the unweighted warm-start stage),
   3. precoder update: the exact minimizer of the precoder subproblem (one
@@ -21,8 +22,8 @@ Cholesky of its covariance gives the receivers, one of the
 interference-plus-noise covariance the gain G_k (:func:`~.objective.mmse_gain`),
 I + G_k the weights and sum log1p eig G_k the rates.  For WMMSE and MMMSE the
 pass at V_t serves step 4 of iteration t and step 2 of t+1; A-MMMSE forms
-one more stack, at each Vhat.  Through the public functions' helpers, the
-loop's values are theirs bit for bit.  One ``weighted_sum_rate`` call stays
+one more stack, at each extrapolated Vhat.  Through the public functions'
+helpers, the loop's values are theirs bit for bit.  One ``weighted_sum_rate`` call stays
 after the loop, for the last row, on the full channels: perfbench/metrics.py
 starts a solve's exit check where it ends.
 
@@ -66,12 +67,19 @@ iteration t compares iterations t-1 and t-2, the stop test compares t and
 t-1, and at t=1 the relative change is +inf (no stop, no switch).  The stop
 test only fires in the weighted stage, so the warm start always hands over
 to at least one weighted iteration.
+
+A-MMMSE's step needs no setting: by default it is the exact line search on
+the precoder subproblem (:func:`pgd_precoder_step`).  Its momentum, omega =
+0.5 by default, comes with a function restart (O'Donoghue and Candes, Found.
+Comput. Math. 15, 2015): after an iteration whose weighted sum rate fell
+below the previous one, V_old <- V_t, so the next iteration takes no
+extrapolation and reuses the MMSE pass at V_t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -100,7 +108,6 @@ from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_we
     flatten_users,
     gain_snapshot,
     gain_weights,
-    gradient_v,
     mmse_gain,
     own_streams,
     precoder_factor,
@@ -114,18 +121,6 @@ from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_we
 
 #: Sentinel for SolverOptions.gamma selecting the provably-descending step.
 GAMMA_SAFE = "safe"
-
-#: (omega, gamma) operating points for A-MMMSE, keyed by SNR in dB.  Used,
-#: through SolverOptions.at_snr, whenever the options leave omega/gamma unset.
-STEP_DEFAULTS_BY_SNR: dict[float, tuple[float, float]] = {
-    -10.0: (0.6, 0.4),
-    -5.0: (0.6, 0.4),
-    0.0: (0.6, 0.4),
-    5.0: (0.6, 0.4),
-    10.0: (0.8, 0.05),
-    15.0: (0.8, 0.005),
-    20.0: (0.8, 0.003),
-}
 
 #: Relative margin below p_max that the exact dual solve aims the power at,
 #: and that a sum-power projection falls back to when rounding overshoots.
@@ -154,15 +149,16 @@ class SolverOptions:
     """Algorithm selection, step parameters, and stopping controls.
 
     ``gamma`` may be a positive number, the string ``"safe"`` (use the
-    provably-descending step from the bounds report), or None (use the
-    SNR-keyed default table).  ``omega`` may be a number in [0, 1) or None
-    (default table).  Both are only consulted by A-MMMSE.  Real fields reject
-    booleans and non-numbers with a ConfigError naming the field.
+    provably-descending step from the bounds report), or None (the exact
+    line-search step, computed from each iterate: see
+    :func:`pgd_precoder_step`).  ``omega`` is a number in [0, 1).  Both are
+    only consulted by A-MMMSE.  Real fields reject booleans and non-numbers
+    with a ConfigError naming the field.
     """
 
     algorithm: Algorithm = Algorithm.WMMSE
     gamma: float | str | None = None
-    omega: float | None = None
+    omega: float = 0.5
     eps1: float = 0.1  # stage-switch threshold on relative WSR change
     eps2: float = 0.001  # termination threshold on relative WSR change
     max_iters: int = 1000
@@ -178,11 +174,10 @@ class SolverOptions:
             if not (math.isfinite(g) and g > 0):
                 raise ConfigError(f"gamma must be positive, got {self.gamma!r}")
             object.__setattr__(self, "gamma", g)
-        if self.omega is not None:
-            om = real_value("omega", self.omega)
-            if not (0.0 <= om < 1.0):
-                raise ConfigError(f"omega must lie in [0, 1), got {self.omega!r}")
-            object.__setattr__(self, "omega", om)
+        om = real_value("omega", self.omega)
+        if not (0.0 <= om < 1.0):
+            raise ConfigError(f"omega must lie in [0, 1), got {self.omega!r}")
+        object.__setattr__(self, "omega", om)
         for name in ("eps1", "eps2"):
             object.__setattr__(self, name, real_value(name, getattr(self, name)))
         if not (self.eps1 > 0):
@@ -192,15 +187,6 @@ class SolverOptions:
         if self.eps2 > self.eps1:
             raise ConfigError(f"eps2 ({self.eps2}) must not exceed eps1 ({self.eps1})")
         object.__setattr__(self, "max_iters", integer_value("max_iters", self.max_iters, 1))
-
-    def at_snr(self, snr_db: float) -> "SolverOptions":
-        """These options with A-MMMSE's unset gamma and omega taken from the
-        SNR-keyed table; every other options object is returned unchanged."""
-        if self.algorithm is not Algorithm.AMMMSE or None not in (self.gamma, self.omega):
-            return self
-        omega, gamma = default_step_parameters(snr_db)
-        return replace(self, gamma=gamma if self.gamma is None else self.gamma,
-                       omega=omega if self.omega is None else self.omega)
 
 
 @dataclass(frozen=True)
@@ -247,17 +233,6 @@ class SolveResult:
     stationarity_residual: float
     switch_iteration: int | None = None  # first weighted iteration of a two-stage run
     iterates: tuple[BlockIterate, ...] = ()  # one per trace row
-
-
-def default_step_parameters(snr_db: float) -> tuple[float, float]:
-    """(omega, gamma) for A-MMMSE at the given SNR.
-
-    Exact table match when available, otherwise the nearest tabulated SNR
-    (ties resolve toward the higher SNR).
-    """
-    snr = float(snr_db)
-    key = min(STEP_DEFAULTS_BY_SNR, key=lambda s: (abs(s - snr), -s))
-    return STEP_DEFAULTS_BY_SNR[key]
 
 
 def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
@@ -386,17 +361,27 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
 
 
 def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weights,
-                      gamma: float, p_max: float) -> np.ndarray:
+                      gamma: float | None, p_max: float) -> np.ndarray:
     """Single projected gradient step on the precoder block:
     V_k = Pi(Vhat_k - gamma * grad_k(Vhat)).
 
-    Matrix multiplications only: every user's gradient comes from one
-    factored product (:func:`~.objective.gradient_v`).
+    ``gamma`` None takes the exact line search along -G, G the gradient at
+    Vhat, on the subproblem's quadratic Tr(V^H A V) - 2 Re Tr(B^H V) + const
+    with A = F D F^H (Nocedal and Wright, Numerical Optimization, 2nd ed.,
+    section 3.3): gamma = ||G||^2 / (2 <F^H G, D F^H G>), and 0 when G = 0.
+    It has no setting and does not change under H -> c H, sigma^2 -> c^2
+    sigma^2.  Matrix multiplications only: the gradient and the step come
+    from one factored form (:class:`~.objective.PrecoderFactor`).
     """
-    if not (gamma >= 0):
-        raise ConfigError("gamma must be nonnegative")
     vhat = np.asarray(extrapolated)
-    grad = gradient_v(receivers, weight_matrices, vhat, channels, weights)
+    factor = precoder_factor(channels, receivers, weight_matrices, weights)
+    grad = factor.gradient(vhat)
+    if gamma is None:
+        fg = factor.f.conj().T @ flatten_users(grad)
+        curvature = float(np.vdot(fg, factor.dmat @ fg).real)
+        gamma = total_power(grad) / (2.0 * curvature) if curvature > 0.0 else 0.0
+    elif not (gamma >= 0):
+        raise ConfigError("gamma must be nonnegative")
     return project_sum_power(vhat - gamma * grad, p_max)
 
 
@@ -449,8 +434,7 @@ def _finite(t: int, block: str, out: np.ndarray) -> np.ndarray:
 
 
 def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) -> SolveResult:
-    """Solve with ``options.algorithm``; A-MMMSE's unset step parameters come
-    from :meth:`SolverOptions.at_snr` at the config's SNR.
+    """Solve with ``options.algorithm``.
 
     A-MMMSE raises :class:`UnstableParametersError` when the WSR stays below
     half its running maximum for five consecutive iterations.
@@ -460,7 +444,6 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     sigma2 = channels.noise_power
     weights = config.weight_vector
     first_order = options.algorithm is Algorithm.AMMMSE
-    options = options.at_snr(config.snr_db)
     gamma, omega = (options.gamma, options.omega) if first_order else (0.0, 0.0)
     bounds = None  # the loop reads them only for the "safe" step
     if gamma == GAMMA_SAFE:
@@ -488,7 +471,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     converged = False
 
     for t in range(1, options.max_iters + 1):
-        if t >= 2 and omega > 0.0:
+        if omega > 0.0 and v_old is not v_curr:
             v_hat = _finite(t, "extrapolation", extrapolate(v_curr, v_old, omega))
             hv, g = received(h, v_hat), None
         else:
@@ -527,12 +510,14 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             else:
                 drop_streak = 0
             if drop_streak >= 5:
+                step = "the line-search step" if gamma is None else f"gamma={gamma!r}"
                 raise UnstableParametersError(
                     f"iteration {t}: weighted sum rate fell below half its running maximum "
-                    f"for 5 consecutive iterations: gamma={gamma!r}, omega={omega!r} are "
-                    "too aggressive for this instance")
+                    f"for 5 consecutive iterations under {step}, omega={omega!r}")
 
-        v_old, v_curr = v_curr, v_new
+        # The restart: after a fall in the WSR the next iteration starts at V_t.
+        fell = t >= 2 and snap.wsr_nats < steps[-2][0].wsr_nats
+        v_old, v_curr = v_new if fell else v_curr, v_new
         if weighted and rel <= options.eps2:
             converged = True
             break

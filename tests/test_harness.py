@@ -31,9 +31,11 @@ class TestParseExperiment:
         assert spec.solver.gamma == 0.2 and spec.solver.omega == 0.1
 
     def test_snr_sweep_defers_step_resolution(self):
+        # One set of options for every sweep point: the step is computed from
+        # each iterate in the solve.
         spec = wb.parse_experiment(spec_text(algorithm="ammmse",
                                              sweep={"snr_db": [0, 10]}))
-        assert spec.solver.gamma is None and spec.solver.omega is None
+        assert spec.solver.gamma is None and spec.solver.omega == 0.5
 
     def test_eps_ordering_rejected(self):
         with pytest.raises(ConfigError, match="eps2"):
@@ -168,38 +170,35 @@ class TestEmitAndReadTrace:
         assert ",".join(rows[1]) in str(info.value)
 
 
-def _point_steps(tmp_path, argv=(), **overrides):
-    """(omega, gamma) of every point of summary.json after `wsrbeam run`, and
-    of the spec's own solver dict."""
+def _run_summary(tmp_path, argv=(), **overrides):
+    """summary.json after `wsrbeam run`, and the names of its trace files."""
     tmp_path.mkdir(exist_ok=True)
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(spec_text(n_realizations=1, max_iters=3, **overrides))
     out = tmp_path / "out"
     assert cli_main(["run", str(cfg_path), "--out", str(out), "--workers", "1", *argv]) == 0
-    doc = json.loads((out / "summary.json").read_text())
-    steps = [(p["solver"]["omega"], p["solver"]["gamma"]) for p in doc["points"]]
-    return steps, (doc["spec"]["solver"]["omega"], doc["spec"]["solver"]["gamma"])
+    return json.loads((out / "summary.json").read_text()), sorted(p.name for p in out.glob("*.csv"))
 
 
 class TestRunExperiment:
-    # The (omega, gamma) table is applied per point, where the solve runs:
-    # the spec's solver dict records what was asked, each point what ran.
-    def test_table_defaults_at_snr20(self, tmp_path):
-        steps, asked = _point_steps(tmp_path, snr_db=20, algorithm="ammmse")
-        assert steps == [(0.8, 0.003)] and asked == (None, None)
+    # Every point runs the spec's own options, so summary.json records them
+    # once, in the spec's solver dict, and no point carries one.
+    @pytest.mark.parametrize("snr_db", [10, 20])
+    def test_spec_records_the_step(self, tmp_path, snr_db):
+        doc, _ = _run_summary(tmp_path, snr_db=snr_db, algorithm="ammmse")
+        solver = doc["spec"]["solver"]
+        assert (solver["algorithm"], solver["omega"], solver["gamma"]) == ("ammmse", 0.5, None)
+        assert [p["label"] for p in doc["points"]] == ["base"]
+        assert "solver" not in doc["points"][0]
 
-    def test_table_defaults_at_snr10(self, tmp_path):
-        steps, asked = _point_steps(tmp_path, algorithm="ammmse")
-        assert steps == [(0.8, 0.05)] and asked == (None, None)
-
-    def test_algo_override_records_the_step_that_ran(self, tmp_path):
-        # An A-MMMSE spec run as WMMSE records no step; run as written, the
-        # 20 dB table step (0.8, 0.003).
+    def test_algo_override_is_recorded_in_the_spec(self, tmp_path):
+        # An A-MMMSE spec run as WMMSE records and runs WMMSE at every point.
         spec = dict(snr_db=20, algorithm="ammmse", sweep={"K": [2, 3]})
-        steps, _ = _point_steps(tmp_path / "wmmse", ["--algo", "wmmse"], **spec)
-        assert steps == [(None, None)] * 2
-        steps, _ = _point_steps(tmp_path / "ammmse", **spec)
-        assert steps == [(0.8, 0.003)] * 2
+        doc, traces = _run_summary(tmp_path, ["--algo", "wmmse"], **spec)
+        assert doc["spec"]["solver"]["algorithm"] == "wmmse"
+        assert [p["label"] for p in doc["points"]] == ["K2", "K3"]
+        assert all("solver" not in p for p in doc["points"])
+        assert traces == ["wmmse_K2_seed0.csv", "wmmse_K3_seed0.csv"]
 
     def test_byte_identical_reruns(self, tmp_path):
         text = spec_text(n_realizations=1, max_iters=50)
