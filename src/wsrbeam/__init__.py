@@ -31,6 +31,7 @@ from .objective import (
     compute_bounds,
     gradient_v,
     mse_matrix,
+    received,
     update_weight_matrices,
     user_rates,
     weighted_gram,

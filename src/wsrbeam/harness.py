@@ -33,7 +33,13 @@ from .model import (
     integer_value,
     real_value,
 )
-from .objective import compute_bounds, gradient_v, update_weight_matrices, wmmse_objective
+from .objective import (
+    compute_bounds,
+    gradient_v,
+    received,
+    update_weight_matrices,
+    wmmse_objective,
+)
 from .solvers import (
     IterationRecord,
     SolveResult,
@@ -324,7 +330,8 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
     wmats = update_weight_matrices(channels, precoders, channels.noise_power)
 
     def objective(v):
-        return wmmse_objective(receivers, wmats, v, channels, weights, channels.noise_power)
+        return wmmse_objective(receivers, wmats, received(channels, v), weights,
+                               channels.noise_power)
 
     fd = finite_diff_gradient(objective, precoders)
     analytic = gradient_v(receivers, wmats, precoders, channels, weights)

@@ -14,7 +14,7 @@ one-user form.  The weights, rates and weighted sum rate go through
 :func:`mmse_gain` of a :func:`received` stack and :func:`gain_weights`,
 :func:`gain_rates` or :func:`gain_snapshot`, as in the solver loop.  The
 stacked helpers (:func:`flatten_users`, :func:`received`, :func:`own_streams`,
-:func:`interfering`), :func:`mse_matrix`, :func:`mmse_gain`,
+:func:`interfering`), :func:`mse_matrix`, :func:`mmse_gain`, :func:`mmse_pass`,
 :func:`update_weight_matrices`, :func:`user_rates` and :func:`wmmse_objective`
 also take leading batch axes in front of the user axis, e.g. (T, K, ., .)
 stacks of T iterates against one (K, N, M) channel stack.  Each slice of a
@@ -92,10 +92,10 @@ class ObjectiveSnapshot:
         object.__setattr__(self, "wsr_bits", self.wsr_nats / LN2)
 
 
-def received(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+def received(channels, precoders) -> np.ndarray:
     """H_k [V_1 ... V_K]: (..., K, N, Kd) for a (K, N, M) channel stack and
     (..., K, M, d) precoders."""
-    return h @ flatten_users(v)[..., None, :, :]
+    return np.asarray(channels) @ flatten_users(np.asarray(precoders))[..., None, :, :]
 
 
 def covariance(hv: np.ndarray, noise_power: float) -> np.ndarray:
@@ -119,15 +119,15 @@ def interfering(hv: np.ndarray) -> np.ndarray:
     return hv * (1.0 - np.repeat(np.eye(K), kd // K, axis=1))[:, None, :]
 
 
-def mse_matrix(channels, receivers, precoders, noise_power: float) -> np.ndarray:
-    """The (..., K, d, d) MSE matrices of every user's stream estimates,
+def mse_matrix(hv: np.ndarray, receivers, noise_power: float) -> np.ndarray:
+    """The (..., K, d, d) MSE matrices of every user's stream estimates, from
+    a :func:`received` stack hv = H_k [V_1 ... V_K] and the receivers,
 
     E_k = (I - U_k^H H_k V_k)(I - U_k^H H_k V_k)^H
           + U_k^H (sum_{j != k} H_k V_j V_j^H H_k^H + sigma^2 I) U_k,
 
     a symmetrized sum of PSD terms built from the interference-plus-noise
     covariance."""
-    hv = received(np.asarray(channels), np.asarray(precoders))
     u = np.asarray(receivers)
     uh = np.conj(np.swapaxes(u, -1, -2))
     t = np.eye(u.shape[-1]) - uh @ own_streams(hv)
@@ -135,15 +135,43 @@ def mse_matrix(channels, receivers, precoders, noise_power: float) -> np.ndarray
                         + uh @ covariance(interfering(hv), noise_power) @ u)
 
 
+def _check_noise_power(noise_power: float) -> None:
+    if not (noise_power > 0):
+        raise ConfigError("noise power must be positive")
+
+
+def _gain(z: np.ndarray) -> np.ndarray:
+    """Z^H Z, made exactly Hermitian."""
+    return hermitianize(np.conj(np.swapaxes(z, -1, -2)) @ z)
+
+
 def mmse_gain(hv: np.ndarray, noise_power: float) -> np.ndarray:
     """The (..., K, d, d) MMSE gains G_k = Z_k^H Z_k, Hermitian PSD by
     construction, of a :func:`received` stack: Z_k = L_k^{-1} H_k V_k with
     L_k L_k^H = Q_k, user k's interference-plus-noise covariance."""
-    if not (noise_power > 0):
-        raise ConfigError("noise power must be positive")
+    _check_noise_power(noise_power)
     z = np.linalg.solve(np.linalg.cholesky(covariance(interfering(hv), noise_power)),
                         own_streams(hv))
-    return hermitianize(np.conj(np.swapaxes(z, -1, -2)) @ z)
+    return _gain(z)
+
+
+def mmse_pass(hv: np.ndarray, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """The MMSE receivers U_k = C_k^{-1} H_k V_k and the :func:`mmse_gain`
+    of a :func:`received` stack, C_k its :func:`covariance`, in one pass.
+
+    The covariances C_k and Q_k (of :func:`interfering`) are factored in one
+    batched Cholesky and H_k V_k is whitened by both factors in one batched
+    solve; the receivers take one more triangular solve.  Each slice goes
+    through the same LAPACK calls as the separate routes, so both outputs
+    equal theirs bit for bit.
+    """
+    _check_noise_power(noise_power)
+    own = own_streams(hv)
+    chol = np.linalg.cholesky(covariance(np.stack([hv, interfering(hv)]), noise_power))
+    # own[None] has the factors' ndim: numpy < 2 reads a right-hand side of
+    # one dimension less as a stack of vectors.
+    z = np.linalg.solve(chol, own[None])
+    return np.linalg.solve(np.conj(np.swapaxes(chol[0], -1, -2)), z[0]), _gain(z[1])
 
 
 def gain_weights(g: np.ndarray) -> np.ndarray:
@@ -169,28 +197,28 @@ def gain_snapshot(g: np.ndarray, precoders, weights) -> ObjectiveSnapshot:
 
 def update_weight_matrices(channels, precoders, noise_power: float) -> np.ndarray:
     """Weight update at ``precoders``: :func:`gain_weights`."""
-    return gain_weights(mmse_gain(received(np.asarray(channels), np.asarray(precoders)),
-                                  noise_power))
+    return gain_weights(mmse_gain(received(channels, precoders), noise_power))
 
 
 def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
     """The (K,) rates in nats per channel use (:func:`gain_rates`)."""
-    return gain_rates(mmse_gain(received(np.asarray(channels), np.asarray(precoders)),
-                                noise_power))
+    return gain_rates(mmse_gain(received(channels, precoders), noise_power))
 
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
     """alpha @ :func:`user_rates`, with the transmit power."""
-    return gain_snapshot(mmse_gain(received(np.asarray(channels), np.asarray(precoders)),
-                                   channels.noise_power), precoders, weights)
+    return gain_snapshot(mmse_gain(received(channels, precoders), channels.noise_power),
+                         precoders, weights)
 
 
-def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, noise_power: float):
-    """Matrix-weighted sum-MSE objective, in one stacked pass.
+def wmmse_objective(receivers, weight_matrices, hv: np.ndarray, weights, noise_power: float):
+    """Matrix-weighted sum-MSE objective at a :func:`received` stack
+    hv = H_k [V_1 ... V_K], in one stacked pass.
 
-    f = sum_k alpha_k (Tr(W_k E_k) - ln det W_k).  With all W_k = I this is
-    the plain sum-MSE objective.  A float for one (K, ., .) set of blocks; an
-    array over the leading axes for (..., K, ., .) stacks of them.
+    f = sum_k alpha_k (Tr(W_k E_k) - ln det W_k), E_k the :func:`mse_matrix`.
+    With all W_k = I this is the plain sum-MSE objective.  A float for one
+    (K, ., .) set of blocks; an array over the leading axes for (..., K, ., .)
+    stacks of them.
     """
     w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
@@ -199,7 +227,7 @@ def wmmse_objective(receivers, weight_matrices, precoders, channels, weights, no
     except np.linalg.LinAlgError as exc:
         k = int(np.argmin(np.linalg.eigvalsh(w)[..., 0])) % w.shape[-3]
         raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
-    e = mse_matrix(channels, receivers, precoders, noise_power)
+    e = mse_matrix(hv, receivers, noise_power)
     trace_we = np.real(np.einsum("...kij,...kji->...k", w, e))
     f = (trace_we - lndet_w) @ alpha
     return float(f) if f.ndim == 0 else f
@@ -270,8 +298,7 @@ def compute_bounds(channels, weights, p_max: float, noise_power: float) -> Bound
     kappa is found by a Hermitian eigensolve on the smaller of H H^H and
     H^H H; no singular value decomposition of the full stack is needed.
     """
-    if not (noise_power > 0):
-        raise ConfigError("noise power must be positive")
+    _check_noise_power(noise_power)
     h = np.asarray(channels)
     alpha = np.asarray(weights, dtype=np.float64)
     K = h.shape[0]

@@ -12,36 +12,41 @@ two the exact update.  Each iteration of the loop runs:
   2. the MMSE receive filters at Vhat and, once the stage latch has fired,
      the weights there (the identity in the unweighted warm-start stage),
   3. precoder update: the exact minimizer of the precoder subproblem (one
-     eigendecomposition and a Newton solve for the dual variable of the
-     sum-power constraint) or a single projected gradient step,
+     thin SVD and a Newton solve for the dual variable of the sum-power
+     constraint) or a single projected gradient step,
   4. the weighted sum rate of the new feasible iterate, which the stop test,
      the switch test and A-MMMSE's divergence guard read.
 
-Steps 2 and 4 are one MMSE pass over a received stack H_k [V_1 ... V_K]: a
+Steps 2 and 4 are MMSE passes over a received stack H_k [V_1 ... V_K]: a
 Cholesky of its covariance gives the receivers, one of the
 interference-plus-noise covariance the gain G_k (:func:`~.objective.mmse_gain`),
-I + G_k the weights and sum log1p eig G_k the rates.  For WMMSE and MMMSE the
-pass at V_t serves step 4 of iteration t and step 2 of t+1; A-MMMSE forms
-one more stack, at each extrapolated Vhat.  Through the public functions'
-helpers, the loop's values are theirs bit for bit.  One ``weighted_sum_rate`` call stays
-after the loop, for the last row, on the full channels: perfbench/metrics.py
-starts a solve's exit check where it ends.
+I + G_k the weights and sum log1p eig G_k the rates.  Where a pass needs both
+the receivers and the gain, :func:`~.objective.mmse_pass` takes both
+factors in one batched Cholesky.  For WMMSE and MMMSE the pass at V_t serves
+step 4 of iteration t and step 2 of t+1.  A-MMMSE forms one more stack, at
+each extrapolated Vhat, takes only the gain at V_t, and the stacked pass at
+Vhat only in the weighted stage.  Through the public functions' helpers and
+LAPACK calls, the loop's values are theirs bit for bit.  One
+``weighted_sum_rate`` call stays after the loop, for the last row, on the
+full channels: perfbench/metrics.py starts a solve's exit check where it
+ends.
 
-The loop keeps each iteration's blocks (U, W, Vhat, V).  The records come
-after it, in one stacked :func:`~.objective.wmmse_objective` pass over the
-(T, K, ., .) stacks of those blocks: the MSE stacks at (U, Vhat) and (U, V),
-each weighted by W_prev (row t-1's W, the identity before row 1) and by W.
-``f_after_u`` and ``f_after_w`` are (U, Vhat) under W_prev and W,
-``f_after_v`` is (U, V) under W.  The blocks become the result's
-:class:`BlockIterate` records.
+The loop keeps each iteration's blocks (U, W, V) and its received stacks at
+Vhat and at V.  The records come after it, in one stacked
+:func:`~.objective.wmmse_objective` pass over the (T, K, ., .) stacks: the
+MSE at (U, Vhat) and (U, V), each weighted by W_prev (row t-1's W, the
+identity before row 1) and by W, with no product with H.  ``f_after_u`` and
+``f_after_w`` are (U, Vhat) under W_prev and W, ``f_after_v`` is (U, V)
+under W.  The blocks become the result's :class:`BlockIterate` records.
 
 No M x M matrix is formed in the iteration loop.  Both precoder updates work
 with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
-the exact update solves its subproblem in the column space of F, of
-dimension n = min(M, Kd), and the gradient step applies 2 F D (F^H V - I).
-Per iteration the precoder update costs O(M (Kd)^2 + n^3) for the exact
-update and O(M (Kd)^2) for the gradient step, and the MMSE pass
-O(K^2 N M d), all users at once, with no per-user loop.
+the exact update takes the thin SVD of F L, L L^H = D, with n = min(M, Kd)
+singular values (:func:`update_precoders_exact`), and the gradient step
+applies 2 F D (F^H V - I).  Per iteration the precoder update costs
+O(M (Kd) n) for the exact update and O(M (Kd)^2) for the gradient step, and
+the MMSE pass O(K^2 N M d), all users at once, with no per-user loop.  The
+loop takes no QR.
 
 Every iterate lies in S = span([H_1^H ... H_K^H, V_0]), of dimension at most
 r = KN + Kd: the exact update and the gradient lie in the range of F, inside
@@ -109,6 +114,7 @@ from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_we
     gain_snapshot,
     gain_weights,
     mmse_gain,
+    mmse_pass,
     own_streams,
     precoder_factor,
     received,
@@ -128,6 +134,8 @@ _POWER_MARGIN = 1e-13
 
 #: Cap on the Newton steps of one exact dual solve (it needs at most ~10).
 _NEWTON_MAX = 100
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class Algorithm(Enum):
@@ -237,7 +245,7 @@ class SolveResult:
 
 def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
     """MMSE receive filters at ``precoders`` (:func:`mmse_receivers`)."""
-    return mmse_receivers(received(np.asarray(channels), np.asarray(precoders)), noise_power)
+    return mmse_receivers(received(channels, precoders), noise_power)
 
 
 def mmse_receivers(hv: np.ndarray, noise_power: float) -> np.ndarray:
@@ -265,21 +273,33 @@ def project_sum_power(precoders, p_max: float) -> np.ndarray:
     return scaled
 
 
-def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
+def bisect_dual(system: np.ndarray, targets, p_max: float, *,
+                factored: bool = False) -> BisectionResult:
     """Solve V_k = (A + lam I)^{-1} B_k exactly, with lam >= 0 the dual
     variable of the sum-power constraint.
 
-    One eigendecomposition A = E diag(s) E^H gives the power as
-    P(lam) = sum_i c_i / (s_i + lam)^2, with c_i the squared norm of row i of
-    E^H [B_1 ... B_K].  Eigenvalues at or below m * eps * s_max count as zero
-    and the target components along them are dropped, as ``lstsq``'s rcond
-    does, so the lam = 0 answer is the minimum-norm one.  (For the precoder
-    subproblem B = F D lies in the range of A = F D F^H, so the dropped
-    components are roundoff.)  It is returned when P(0) <= p_max.  Otherwise
-    lam solves P(lam) = p_max (1 - 1e-13) by Newton's method on 1 / sqrt(P),
-    which is concave in lam: from the infeasible side the steps increase lam
+    ``system`` is the Hermitian PSD A (m x m), or with ``factored`` a factor
+    Y (m x n) of A = Y Y^H, whose targets are B_k = Y T_k, given as the
+    (K, n, d) stack of the T_k.  Either way one decomposition gives an
+    orthonormal basis Q of the range of A, its eigenvalues s_i and the
+    coefficients C = Q^H [B_1 ... B_K], so that V = Q diag(1 / (s + lam)) C
+    and the power is P(lam) = sum_i c_i / (s_i + lam)^2, with c_i the squared
+    norm of row i of C:
+
+      * A: its eigendecomposition, A = Q diag(s) Q^H;
+      * Y: its thin SVD Y = Q diag(sigma) W^H, s = sigma^2 and
+        C = diag(sigma) W^H [T_1 ... T_K].  A is never formed, so the
+        conditioning of Y is not squared.
+
+    Eigenvalues at or below n * eps * s_max (n of them) count as zero and the
+    target components along them are dropped, as ``lstsq``'s rcond does, so
+    the lam = 0 answer is the minimum-norm one.  (For the precoder subproblem
+    B lies in the range of A, so the dropped components are roundoff.)  It is
+    returned when P(0) <= p_max.  Otherwise lam solves
+    P(lam) = p_max (1 - 1e-13) by Newton's method on 1 / sqrt(P), which is
+    concave in lam: from the infeasible side the steps increase lam
     monotonically to the root, and a step that leaves the bracket [lo, hi],
-    first [0, ||B||_F / sqrt(p_max)], is replaced by its midpoint.
+    first [0, sqrt(sum_i c_i / p_max)], is replaced by its midpoint.
     The 1e-13 margin keeps rounding in the final products from pushing the
     power past p_max, so an active constraint ends with the power in
     [p_max (1 - 1e-12), p_max].
@@ -291,28 +311,35 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
     Newton steps; a solve that reaches it returns the feasible end of the
     bracket with ``converged=False``.
     """
-    gram = np.asarray(gram, dtype=np.complex128)
-    b = np.asarray(targets, dtype=np.complex128)
-    K, m, d = b.shape
-    eps = float(np.finfo(np.float64).eps)
-    s, e = np.linalg.eigh(gram)
-    keep = s > m * eps * max(float(s[-1]), 0.0)
-    s, e = s[keep], e[:, keep]
-    c = e.conj().T @ flatten_users(b)  # (r, Kd)
-    weight = np.sum(c.real ** 2 + c.imag ** 2, axis=1)
+    system = np.asarray(system, dtype=np.complex128)
+    t = np.asarray(targets, dtype=np.complex128)
+    K, _, d = t.shape
+    b = flatten_users(t)
+    if factored:
+        q, sigma, wh = np.linalg.svd(system, full_matrices=False)
+        s, c = sigma * sigma, sigma[:, None] * (wh @ b)
+    else:
+        s, q = np.linalg.eigh(system)
+        c = q.conj().T @ b
+    s_max = max(float(s.max()), 0.0)
+    keep = s > len(s) * _EPS * s_max
+    if not keep.all():
+        s, q, c = s[keep], q[:, keep], c[keep]
+    parts = c.view(np.float64)  # the real and imaginary parts of each row of C
+    weight = np.sum(parts * parts, axis=1)
     pairs = list(zip(s.tolist(), weight.tolist()))  # (s_i, c_i) as Python floats
 
     def solution(lam: float) -> np.ndarray:
-        return split_users(e @ (c / (s + lam)[:, None]), K, d)
+        return split_users(q @ (c / (s + lam)[:, None]), K, d)
 
     if sum(ci / (si * si) for si, ci in pairs) <= p_max:
         return BisectionResult(0.0, solution(0.0), True, 0)
 
     target = p_max * (1.0 - _POWER_MARGIN)
-    norm_b2 = float(np.sum(weight))
+    norm_b2 = sum(ci for _, ci in pairs)
     lo, hi = 0.0, math.sqrt(norm_b2 / p_max)
-    # P(lam) >= ||B||^2 / (s_max + lam)^2, so this start is on the infeasible side.
-    lam = min(max(math.sqrt(norm_b2 / target) - float(s[-1]), lo), hi)
+    # P(lam) >= sum_i c_i / (s_max + lam)^2, so this start is on the infeasible side.
+    lam = min(max(math.sqrt(norm_b2 / target) - s_max, lo), hi)
     its, converged = 0, False
     while its < _NEWTON_MAX:
         its += 1
@@ -322,7 +349,7 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
             term = ci * inv * inv
             power += term
             slope += term * inv
-        if abs(power - target) <= 16.0 * eps * target:
+        if abs(power - target) <= 16.0 * _EPS * target:
             converged = True
             break
         if power > target:
@@ -333,7 +360,7 @@ def bisect_dual(gram: np.ndarray, targets, p_max: float) -> BisectionResult:
         nxt = lam + step
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - lam) <= 2.0 * eps * nxt:
+        if abs(nxt - lam) <= 2.0 * _EPS * nxt:
             lam, converged = nxt, True
             break
         lam = nxt
@@ -346,18 +373,25 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
     """Exact minimizer of the precoder subproblem over the sum-power ball:
     V_k = alpha_k (sum_m alpha_m H_m^H U_m W_m U_m^H H_m + lam I)^{-1} H_k^H U_k W_k.
 
-    Solved in the column space of F (see :class:`PrecoderFactor`): with the
-    thin QR F = Q R, A = Q (R D R^H) Q^H and B = Q (R D), so V = Q X, where X
-    solves the same subproblem with gram R D R^H and targets R D, both with
-    min(M, Kd) rows.  Q is M x M when Kd >= M; it is one code path for every
-    shape.  With identity weight matrices this is exactly the unweighted
-    sum-MSE precoder update (the warm-start stage shares this code path).
+    With L_k the Cholesky factor of alpha_k W_k and L = blockdiag(L_k), the
+    system matrix is FL FL^H and the targets are FL L^H, where
+    FL = [H_1^H U_1 L_1 ... H_K^H U_K L_K] (m x Kd, m the channels' column
+    count).  One :func:`bisect_dual` call on the factor FL and the targets
+    L^H solves it: the thin SVD of FL gives V = Q diag(sigma / (sigma^2 +
+    lam)) W^H L^H, the push-through form of (FL FL^H + lam I)^{-1} FL L^H.
+    No QR, no D = L L^H and no M x M matrix is formed, and the one code path
+    serves K d < m and K d >= m alike.  With identity weight matrices this
+    is exactly the unweighted sum-MSE precoder update (the warm-start stage
+    shares this code path).
     """
-    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
-    q, r = np.linalg.qr(f)
-    rd = r @ dmat
-    K, d = np.asarray(weight_matrices).shape[:2]
-    return q @ bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max).precoders
+    h = np.asarray(channels)
+    alpha = np.asarray(weights, dtype=np.float64)
+    chol = np.linalg.cholesky(alpha[:, None, None] * np.asarray(weight_matrices))
+    fl = flatten_users(np.conj(np.swapaxes(h, 1, 2)) @ np.asarray(receivers) @ chol)
+    K, d = chol.shape[:2]
+    lh = np.zeros((K, K, d, d), dtype=chol.dtype)  # user k's T_k: L_k^H in row block k
+    lh[np.arange(K), np.arange(K)] = np.conj(np.swapaxes(chol, 1, 2))
+    return bisect_dual(fl, lh.reshape(K, K * d, d), p_max, factored=True).precoders
 
 
 def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weights,
@@ -457,14 +491,16 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     if q is not None:
         h, v_curr = h @ q, q.conj().T @ v_curr
     v_old = v_curr
-    hv, g = received(h, v_curr), None  # the stack at Vhat, and its gain once formed
+    # The received stack at Vhat, and its receivers and gain once formed.
+    hv, u, g = received(h, v_curr), None, None
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
     eye_w.flags.writeable = False  # every unweighted-stage iterate shares it
     weighted = options.algorithm is Algorithm.WMMSE  # the stage latch: once set, to the end
     switch_iteration: int | None = None
     rel = math.inf  # relative WSR change of the last completed iteration
-    # Per iteration: the blocks (U, W, Vhat, V) and (WSR, rel change, stage).
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    # Per iteration: the blocks (U, W, V), the received stacks at Vhat and at
+    # V, and (WSR, rel change, stage).
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     steps: list[tuple[ObjectiveSnapshot, float, Stage]] = []
     running_max = -math.inf
     drop_streak = 0
@@ -473,22 +509,23 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     for t in range(1, options.max_iters + 1):
         if omega > 0.0 and v_old is not v_curr:
             v_hat = _finite(t, "extrapolation", extrapolate(v_curr, v_old, omega))
-            hv, g = received(h, v_hat), None
+            hv, u, g = received(h, v_hat), None, None
         else:
             v_hat = v_curr
-
-        u = _finite(t, "receiver", mmse_receivers(hv, sigma2))
+        hv_hat = hv
 
         # Switch test: ``rel`` is still the change between iterations t-1 and t-2.
         if not weighted and rel <= options.eps1:
             weighted, switch_iteration = True, t
         stage = Stage.WEIGHTED if weighted else Stage.UNWEIGHTED
 
-        if weighted:
-            g = mmse_gain(hv, sigma2) if g is None else g
-            w = _finite(t, "weight", gain_weights(g))
-        else:
-            w = eye_w
+        if u is None:
+            if weighted and g is None:
+                u, g = mmse_pass(hv, sigma2)
+            else:
+                u = mmse_receivers(hv, sigma2)
+        u = _finite(t, "receiver", u)
+        w = _finite(t, "weight", gain_weights(g)) if weighted else eye_w
 
         if first_order:
             v_new = pgd_precoder_step(v_hat, u, w, h, weights, gamma, config.p_max)
@@ -497,10 +534,15 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         v_new = _finite(t, "precoder", v_new)
 
         hv = received(h, v_new)
-        g = mmse_gain(hv, sigma2)
+        blocks.append((u, w, v_new, hv_hat, hv))
+        # The pass at V_t gives this row's rate and, to the exact solvers,
+        # the receivers of iteration t+1, whose Vhat is V_t.
+        if first_order:
+            u, g = None, mmse_gain(hv, sigma2)
+        else:
+            u, g = mmse_pass(hv, sigma2)
         snap = gain_snapshot(g, v_new, weights)
         rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, steps[-1][0].wsr_nats)
-        blocks.append((u, w, v_hat, v_new))
         steps.append((snap, rel, stage))
 
         if first_order:
@@ -522,7 +564,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             converged = True
             break
 
-    us, ws, v_hats, vs = (np.stack(x) for x in zip(*blocks))
+    us, ws, vs, hv_hats, hvs = (np.stack(x) for x in zip(*blocks))
     vs_full = vs  # every iterate in M dimensions, mapped back in one product
     if q is not None:
         vs_full = np.swapaxes((q @ flatten_users(vs)).reshape(len(vs), -1, config.K, config.d), 1, 2)
@@ -533,12 +575,13 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         bounds = compute_bounds(channels, weights, config.p_max, sigma2)
     w_exit = gain_weights(g) if weighted else eye_w  # g is the pass at v_curr
     residual = _stationarity_residual(h, v_curr, w_exit, weights, sigma2, config.p_max, bounds)
-    # The objective checkpoints of every iteration, in one pass: the MSE stack
-    # at (U, Vhat) and (U, V), each weighted by W_prev (row t-1's W, the
-    # identity before row 1) and by W; three of the four (2, 2, T) values are read.
+    # The objective checkpoints of every iteration, in one pass over the
+    # loop's received stacks: the MSE at (U, Vhat) and (U, V), each weighted
+    # by W_prev (row t-1's W, the identity before row 1) and by W; three of
+    # the four (2, 2, T) values are read.
     w_prevs = np.concatenate([eye_w[None], ws[:-1]])
-    f = wmmse_objective(us, np.stack([w_prevs, ws])[None], np.stack([v_hats, vs])[:, None],
-                        h, weights, sigma2)
+    f = wmmse_objective(us, np.stack([w_prevs, ws])[None], np.stack([hv_hats, hvs])[:, None],
+                        weights, sigma2)
     f_after_u, f_after_w, f_after_v = f[0, 0].tolist(), f[0, 1].tolist(), f[1, 1].tolist()
     records = tuple(
         IterationRecord(t=t, wsr_bits=snap.wsr_bits, total_power=snap.total_power,
@@ -553,6 +596,5 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         stationarity_residual=residual,
         switch_iteration=switch_iteration,
         iterates=tuple(BlockIterate(u, w, v, stage)
-                       for (u, w, _, _), v, (_, _, stage) in zip(blocks, vs_full, steps)),
+                       for (u, w, *_), v, (_, _, stage) in zip(blocks, vs_full, steps)),
     )
-

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import hermitianize
 from .model import ChannelSet, PrecoderSet
-from .objective import flatten_users, mse_matrix
+from .objective import flatten_users, mse_matrix, received
 from .solvers import SolveResult
 
 
@@ -174,7 +174,7 @@ def _bound_excess(h: np.ndarray, sigma2: float, alpha: np.ndarray, limits: dict,
     u = np.stack([it.receivers for it in iterates])  # (T, K, N, d)
     w = np.stack([it.weight_matrices for it in iterates])  # (T, K, d, d)
     v = np.stack([it.precoders for it in iterates])  # (T, K, M, d)
-    e = mse_matrix(h, u, v, sigma2)
+    e = mse_matrix(received(h, v), u, sigma2)
     # The shared gradient factor 2 F D F^H, with F = [H_1^H U_1 ... H_K^H U_K]
     # and D = blockdiag(alpha_k W_k), has the nonzero spectrum of 2 R D R^H
     # for the thin QR F = QR: a min(M, Kd)-square matrix per iterate, and no

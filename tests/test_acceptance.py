@@ -108,7 +108,7 @@ def test_criterion_4_gradient_correctness():
         u, w = mmse_blocks(ch, v)
 
         def objective(vv):
-            return wb.wmmse_objective(u, w, vv, ch, cfg.weight_vector, ch.noise_power)
+            return wb.wmmse_objective(u, w, wb.received(ch, vv), cfg.weight_vector, ch.noise_power)
 
         fd = wb.finite_diff_gradient(objective, v)
         grad = wb.gradient_v(u, w, v, ch, cfg.weight_vector)

@@ -34,10 +34,10 @@ SHAPES = [(8, 2, 3, 2), (6, 2, 3, 2), (4, 3, 3, 1), (5, 2, 4, 2)]
 BLOCKS = {
     "update_receivers": lambda h, u, w, v, a, s2: wb.update_receivers(h, v, s2),
     "update_weight_matrices": lambda h, u, w, v, a, s2: wb.update_weight_matrices(h, v, s2),
-    "mse_matrix": lambda h, u, w, v, a, s2: wb.mse_matrix(h, u, v, s2),
+    "mse_matrix": lambda h, u, w, v, a, s2: wb.mse_matrix(wb.received(h, v), u, s2),
     "user_rates": lambda h, u, w, v, a, s2: wb.user_rates(h, v, s2),
     "gradient_v": lambda h, u, w, v, a, s2: wb.gradient_v(u, w, v, h, a),
-    "wmmse_objective": lambda h, u, w, v, a, s2: wb.wmmse_objective(u, w, v, h, a, s2),
+    "wmmse_objective": lambda h, u, w, v, a, s2: wb.wmmse_objective(u, w, wb.received(h, v), a, s2),
     # A small p_max keeps the power constraint active in the exact update.
     "update_precoders_exact": lambda h, u, w, v, a, s2: wb.update_precoders_exact(h, u, w, a, 0.5),
     "pgd_precoder_step": lambda h, u, w, v, a, s2: wb.pgd_precoder_step(v, u, w, h, a, 0.05, 10.0),

@@ -25,7 +25,7 @@ class TestMseMatrix:
         cfg, ch = small_system
         v = random_feasible(np.random.default_rng(0), cfg)
         u0 = np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex)
-        e = wb.mse_matrix(ch, u0, v, ch.noise_power)[0]
+        e = wb.mse_matrix(wb.received(ch, v), u0, ch.noise_power)[0]
         np.testing.assert_allclose(e, np.eye(cfg.d), atol=1e-14)
 
     def test_zero_precoders_leave_noise_term(self, small_system):
@@ -33,7 +33,7 @@ class TestMseMatrix:
         rng = np.random.default_rng(1)
         u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
         v = wb.PrecoderSet(np.zeros((cfg.K, cfg.M, cfg.d), dtype=complex))
-        e = wb.mse_matrix(ch, np.tile(u, (cfg.K, 1, 1)), v, ch.noise_power)[1]
+        e = wb.mse_matrix(wb.received(ch, v), np.tile(u, (cfg.K, 1, 1)), ch.noise_power)[1]
         expected = np.eye(cfg.d) + ch.noise_power * (u.conj().T @ u)
         np.testing.assert_allclose(e, expected, atol=1e-12)
 
@@ -44,7 +44,7 @@ class TestMseMatrix:
             v = random_feasible(rng, cfg)
             u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
             k = seed % cfg.K
-            e = wb.mse_matrix(ch, np.tile(u, (cfg.K, 1, 1)), v, ch.noise_power)[k]
+            e = wb.mse_matrix(wb.received(ch, v), np.tile(u, (cfg.K, 1, 1)), ch.noise_power)[k]
             expected = naive_mse_matrix(ch.channels[k], u, v, ch.noise_power, k)
             np.testing.assert_allclose(e, expected, atol=1e-12)
 
@@ -54,7 +54,7 @@ class TestMseMatrix:
             cfg, ch = make_system(seed=seed, M=6, N=2, K=4, d=2)
             v = random_feasible(rng, cfg)
             u = rng.standard_normal((cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.N, cfg.d))
-            e = wb.mse_matrix(ch, np.tile(u, (cfg.K, 1, 1)), v, ch.noise_power)[0]
+            e = wb.mse_matrix(wb.received(ch, v), np.tile(u, (cfg.K, 1, 1)), ch.noise_power)[0]
             assert np.max(np.abs(e - e.conj().T)) <= 1e-10
             assert np.linalg.eigvalsh(e)[0] >= -1e-12
 
@@ -140,7 +140,7 @@ def test_stacked_route_matches_per_user_references(K, d):
         random_u = rng.standard_normal((K, cfg.N, d)) + 1j * rng.standard_normal((K, cfg.N, d))
         random_w = x @ x.conj().transpose(0, 2, 1) + np.eye(d)
         for u, w in ((mmse_u, mmse_w), (random_u, random_w)):
-            f = wb.wmmse_objective(u, w, v, ch, cfg.weight_vector, ch.noise_power)
+            f = wb.wmmse_objective(u, w, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
             expected = sum(
                 weights[k] * (np.trace(w[k] @ naive_mse_matrix(h[k], u[k], v,
                                                                 ch.noise_power, k)).real
@@ -151,10 +151,11 @@ def test_stacked_route_matches_per_user_references(K, d):
         # A (T, K, ., .) stack of blocks gives one objective per slice.
         us, ws = np.stack([mmse_u, random_u]), np.stack([mmse_w, random_w])
         vs = np.stack([v, 0.5 * v])
-        batched = wb.wmmse_objective(us, ws, vs, ch, cfg.weight_vector, ch.noise_power)
+        batched = wb.wmmse_objective(us, ws, wb.received(ch, vs), cfg.weight_vector, ch.noise_power)
         assert batched.shape == (2,)
         for t in range(2):
-            single = wb.wmmse_objective(us[t], ws[t], vs[t], ch, cfg.weight_vector, ch.noise_power)
+            single = wb.wmmse_objective(us[t], ws[t], wb.received(ch, vs[t]), cfg.weight_vector,
+                                        ch.noise_power)
             assert batched[t] == pytest.approx(single, rel=1e-14, abs=0.0)
 
         # A (T, K, M, d) stack of precoders gives one set of weights per slice.
@@ -247,7 +248,7 @@ class TestWmmseObjective:
         v = random_feasible(rng, cfg)
         u = wb.update_receivers(ch, v, ch.noise_power)
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
-        f = wb.wmmse_objective(u, eye, v, ch, cfg.weight_vector, ch.noise_power)
+        f = wb.wmmse_objective(u, eye, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
         expected = sum(np.trace(naive_mse_matrix(ch.channels[k], u[k],
                                                  v, ch.noise_power, k)).real
                        for k in range(cfg.K))
@@ -258,7 +259,7 @@ class TestWmmseObjective:
         v = random_feasible(np.random.default_rng(10), cfg)
         u = wb.ReceiverSet(np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex))
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
-        f = wb.wmmse_objective(u, eye, v, ch, cfg.weight_vector, ch.noise_power)
+        f = wb.wmmse_objective(u, eye, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
         assert f == pytest.approx(cfg.K * cfg.d, rel=1e-14)
 
     def test_mmse_point_relates_to_sum_rate(self):
@@ -267,7 +268,7 @@ class TestWmmseObjective:
             cfg, ch = make_system(seed=seed, M=8, N=2, K=3, d=2, weights=(0.5, 1.5, 1.0))
             v = random_feasible(np.random.default_rng(seed), cfg)
             u, w = mmse_blocks(ch, v)
-            f = wb.wmmse_objective(u, w, v, ch, cfg.weight_vector, ch.noise_power)
+            f = wb.wmmse_objective(u, w, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
             snap = wb.weighted_sum_rate(ch, v, cfg.weight_vector)
             expected = sum(cfg.weights) * cfg.d - snap.wsr_nats
             assert f == pytest.approx(expected, rel=1e-10)
@@ -280,7 +281,7 @@ class TestWmmseObjective:
             v = random_feasible(np.random.default_rng(seed), cfg)
             u = wb.update_receivers(ch, v, ch.noise_power)
             eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
-            f = wb.wmmse_objective(u, eye, v, ch, cfg.weight_vector, ch.noise_power)
+            f = wb.wmmse_objective(u, eye, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
             expected = np.trace(naive_mse_matrix(ch.channels[0], u[0], v,
                                                  ch.noise_power, 0)).real
             assert f == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -291,12 +292,12 @@ class TestWmmseObjective:
         u = wb.update_receivers(ch, v, ch.noise_power)
         bad = np.tile(np.diag([1.0, -1.0]).astype(complex), (cfg.K, 1, 1))
         with pytest.raises(ObjectiveDomainError):
-            wb.wmmse_objective(u, bad, v, ch, cfg.weight_vector, ch.noise_power)
+            wb.wmmse_objective(u, bad, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
         # In a (T, K, d, d) stack the message names the user, not the flat index.
         stack = np.tile(np.eye(cfg.d, dtype=complex), (2, cfg.K, 1, 1))
         stack[1, 2] = np.diag([1.0, -1.0])
         with pytest.raises(ObjectiveDomainError, match="user 2 "):
-            wb.wmmse_objective(np.stack([u, u]), stack, np.stack([v, v]), ch,
+            wb.wmmse_objective(np.stack([u, u]), stack, wb.received(ch, np.stack([v, v])),
                                cfg.weight_vector, ch.noise_power)
 
 
@@ -327,7 +328,8 @@ class TestGradient:
             u, w = mmse_blocks(ch, v)
 
             def objective(vv):
-                return wb.wmmse_objective(u, w, vv, ch, cfg.weight_vector, ch.noise_power)
+                return wb.wmmse_objective(u, w, wb.received(ch, vv), cfg.weight_vector,
+                                          ch.noise_power)
 
             fd = wb.finite_diff_gradient(objective, v)
             grad = wb.gradient_v(u, w, v, ch, cfg.weight_vector)
@@ -400,7 +402,7 @@ class TestAnalysisProperties:
                 wb.update_receivers(ch, v, ch.noise_power),
             ]
             for u in candidates:
-                mse = wb.mse_matrix(ch, u, v, ch.noise_power)
+                mse = wb.mse_matrix(wb.received(ch, v), u, ch.noise_power)
                 for k in range(cfg.K):
                     e = mse[k]
                     assert np.linalg.eigvalsh(e)[0] >= b.ek_floor - 1e-9
@@ -439,10 +441,12 @@ class TestAnalysisProperties:
             b = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
             v = random_feasible(rng, cfg)
             u, w = mmse_blocks(ch, v)
-            f_before = wb.wmmse_objective(u, w, v, ch, cfg.weight_vector, ch.noise_power)
+            f_before = wb.wmmse_objective(u, w, wb.received(ch, v), cfg.weight_vector,
+                                          ch.noise_power)
             for gamma in (b.gamma_safe, 0.3 * b.gamma_safe):
                 stepped = wb.pgd_precoder_step(v, u, w, ch, cfg.weight_vector, gamma, cfg.p_max)
-                f_after = wb.wmmse_objective(u, w, stepped, ch, cfg.weight_vector, ch.noise_power)
+                f_after = wb.wmmse_objective(u, w, wb.received(ch, stepped), cfg.weight_vector,
+                                             ch.noise_power)
                 assert f_after <= f_before + 1e-9
 
 

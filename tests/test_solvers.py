@@ -9,7 +9,8 @@ import wsrbeam as wb
 from wsrbeam import objective, solvers
 from wsrbeam.errors import ConfigError, UnstableParametersError
 from wsrbeam.model import total_power
-from wsrbeam.objective import flatten_users, weighted_gram
+from wsrbeam.objective import (flatten_users, mmse_gain, mmse_pass, precoder_factor, received,
+                               split_users, weighted_gram)
 
 from conftest import make_system, mmse_blocks
 
@@ -97,8 +98,9 @@ class TestUpdateReceivers:
                 dn = base.copy()
                 up[idx] += h * unit
                 dn[idx] -= h * unit
-                fp = wb.wmmse_objective(up, eye, v, ch, cfg.weight_vector, ch.noise_power)
-                fm = wb.wmmse_objective(dn, eye, v, ch, cfg.weight_vector, ch.noise_power)
+                hv = wb.received(ch, v)
+                fp = wb.wmmse_objective(up, eye, hv, cfg.weight_vector, ch.noise_power)
+                fm = wb.wmmse_objective(dn, eye, hv, cfg.weight_vector, ch.noise_power)
                 worst = max(worst, abs(fp - fm) / (2 * h))
         assert worst < 1e-8
 
@@ -127,7 +129,7 @@ class TestUpdateWeightMatrices:
             cfg, ch = make_system(seed=seed, M=8, N=2, K=3, d=2)
             v = random_feasible(np.random.default_rng(seed), cfg)
             u, w = mmse_blocks(ch, v)
-            mse = wb.mse_matrix(ch, u, v, ch.noise_power)
+            mse = wb.mse_matrix(wb.received(ch, v), u, ch.noise_power)
             for k in range(cfg.K):
                 e = mse[k]
                 assert np.linalg.norm(w[k] @ e - np.eye(cfg.d)) < 1e-8
@@ -320,9 +322,103 @@ class TestUpdatePrecodersExact:
         for _ in range(1000):
             iterate = wb.pgd_precoder_step(iterate, u, w, ch, cfg.weight_vector,
                                            bounds.gamma_safe, cfg.p_max)
-        f_exact = wb.wmmse_objective(u, w, exact, ch, cfg.weight_vector, ch.noise_power)
-        f_pgd = wb.wmmse_objective(u, w, iterate, ch, cfg.weight_vector, ch.noise_power)
+        f_exact, f_pgd = (wb.wmmse_objective(u, w, wb.received(ch, x), cfg.weight_vector,
+                                             ch.noise_power) for x in (exact, iterate))
         assert f_exact <= f_pgd + 1e-6
+
+
+def qr_route_update(channels, receivers, weight_matrices, weights, p_max):
+    """The exact update through a thin QR of F = [H_1^H U_1 ... H_K^H U_K]:
+    with F = Q R, V = Q X, where X solves the subproblem with gram R D R^H
+    and targets R D, D = blockdiag(alpha_k W_k).  A reference route that
+    shares only ``bisect_dual`` with ``update_precoders_exact``."""
+    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
+    q, r = np.linalg.qr(f)
+    rd = r @ dmat
+    K, d = np.asarray(weight_matrices).shape[:2]
+    return q @ wb.bisect_dual(rd @ r.conj().T, split_users(rd, K, d), p_max).precoders
+
+
+# (M, K) at N = d = 2: K d < M, K d = M and K d > M; at K d > M the factor
+# F L of the subproblem has rank M < K d.
+@pytest.mark.parametrize("M, K", [(128, 4), (12, 2), (6, 3), (4, 3), (12, 8), (24, 16)])
+@pytest.mark.parametrize("snr_db", [-40.0, 10.0, 60.0])
+@pytest.mark.parametrize("p_max", [0.1, 10.0, 1000.0])
+def test_exact_update_matches_qr_route(M, K, snr_db, p_max):
+    # Against the QR route within 1e-12 relative, a tolerance fixed in
+    # advance, and never above the power budget.
+    for seed in range(4):
+        cfg, ch = make_system(seed=seed, M=M, N=2, K=K, d=2, snr_db=snr_db, p_max=p_max)
+        u, w = mmse_blocks(ch, random_feasible(np.random.default_rng(seed + 40), cfg))
+        out = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, p_max)
+        ref = qr_route_update(ch, u, w, cfg.weight_vector, p_max)
+        assert total_power(out) <= p_max, (seed, total_power(out) / p_max - 1.0)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), seed
+
+
+def high_precision_update(cfg, ch, u, w):
+    """The exact update in 40 digits: mpmath's eigendecomposition of
+    A = F D F^H, eigenvalues at or below n eps s_max dropped, lam by bisection
+    on P(lam) = p_max (1 - 1e-13) when P(0) > p_max, and
+    V = E diag(1 / (s + lam)) E^H F D."""
+    f, dmat = precoder_factor(ch, u, w, cfg.weight_vector)
+    with mpmath.workdps(40):
+        fm = mpmath.matrix(f.tolist())
+        a = fm * mpmath.matrix(dmat.tolist()) * fm.transpose_conj()
+        s, e = mpmath.eighe((a + a.transpose_conj()) / 2)
+        keep = [i for i in range(a.rows) if s[i] > a.rows * 2.0 ** -52 * max(s)]
+        e = mpmath.matrix([[e[r, i] for i in keep] for r in range(a.rows)])
+        s = [s[i] for i in keep]
+        c = e.transpose_conj() * fm * mpmath.matrix(dmat.tolist())
+        weight = [sum(abs(c[i, j]) ** 2 for j in range(c.cols)) for i in range(c.rows)]
+
+        def power(lam):
+            return sum(wi / (si + lam) ** 2 for si, wi in zip(s, weight))
+
+        lam = mpmath.mpf(0)
+        if power(lam) > cfg.p_max:
+            target = mpmath.mpf(cfg.p_max) * (1 - mpmath.mpf("1e-13"))
+            lo, hi = mpmath.mpf(0), mpmath.sqrt(sum(weight) / target)
+            for _ in range(200):
+                lam = (lo + hi) / 2
+                lo, hi = (lam, hi) if power(lam) > target else (lo, lam)
+        for i, si in enumerate(s):
+            for j in range(c.cols):
+                c[i, j] /= si + lam
+        v = np.array((e * c).tolist(), dtype=complex)
+    return split_users(v, cfg.K, cfg.d)
+
+
+@pytest.mark.parametrize("M, K", [(12, 2), (6, 3), (4, 3)])
+@pytest.mark.parametrize("snr_db", [-40.0, 10.0, 60.0])
+def test_rank_deficient_exact_update_matches_high_precision(M, K, snr_db):
+    # One user's receivers zeroed, so F has two zero columns.  Against a
+    # 40-digit solve within 1e-12 relative; that user's precoders vanish.
+    # (The QR route misses this bound here: 2.4e-12 on M6/K3 at 60 dB.)
+    for p_max in (0.1, 10.0, 1000.0):
+        cfg, ch = make_system(seed=0, M=M, N=2, K=K, d=2, snr_db=snr_db, p_max=p_max)
+        u, w = mmse_blocks(ch, random_feasible(np.random.default_rng(40), cfg))
+        u[1] = 0.0
+        out = wb.update_precoders_exact(ch, u, w, cfg.weight_vector, p_max)
+        ref = high_precision_update(cfg, ch, u, w)
+        assert total_power(out) <= p_max, p_max
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref), p_max
+        np.testing.assert_allclose(out[1], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("M, K", [(8, 3), (32, 8)])
+def test_mmse_pass_equals_separate_routes_bit_for_bit(M, K):
+    # One Cholesky of the stacked covariances and one stacked solve give the
+    # receivers and the gain byte for byte as mmse_receivers and mmse_gain,
+    # for one (K, N, Kd) stack and for a (2, 3, K, N, Kd) batch of them.
+    for snr_db in (-20.0, 10.0, 60.0):
+        cfg, ch = make_system(seed=5, M=M, N=2, K=K, d=2, snr_db=snr_db)
+        rng = np.random.default_rng(int(snr_db) + 100)
+        vs = np.stack([random_feasible(rng, cfg) for _ in range(6)])
+        for hv in (received(ch, vs[0]), received(ch, vs.reshape(2, 3, *vs.shape[1:]))):
+            u, g = mmse_pass(hv, ch.noise_power)
+            assert u.tobytes() == solvers.mmse_receivers(hv, ch.noise_power).tobytes()
+            assert g.tobytes() == mmse_gain(hv, ch.noise_power).tobytes()
 
 
 class TestPgdStep:
@@ -357,8 +453,9 @@ class TestPgdStep:
         gamma = total_power(grad) / (2.0 * np.real(np.trace(g.conj().T @ a @ g)))
         out = wb.pgd_precoder_step(v, u, w, ch, alpha, None, big)
         np.testing.assert_allclose(out, v - gamma * grad, rtol=0, atol=1e-12 * np.abs(v).max())
-        f = [wb.wmmse_objective(u, w, wb.pgd_precoder_step(v, u, w, ch, alpha, c * gamma, big),
-                                ch, alpha, ch.noise_power) for c in (0.9, 1.0, 1.1)]
+        f = [wb.wmmse_objective(u, w, wb.received(ch, wb.pgd_precoder_step(v, u, w, ch, alpha,
+                                                                            c * gamma, big)),
+                                alpha, ch.noise_power) for c in (0.9, 1.0, 1.1)]
         assert f[1] < min(f[0], f[2])
         zero_u = np.zeros_like(u)
         out = wb.pgd_precoder_step(0.9 * v, zero_u, w, ch, alpha, None, cfg.p_max)
@@ -370,10 +467,10 @@ class TestPgdStep:
             bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
             v = random_feasible(np.random.default_rng(seed + 40), cfg)
             u, w = mmse_blocks(ch, v)
-            f0 = wb.wmmse_objective(u, w, v, ch, cfg.weight_vector, ch.noise_power)
+            f0 = wb.wmmse_objective(u, w, wb.received(ch, v), cfg.weight_vector, ch.noise_power)
             out = wb.pgd_precoder_step(v, u, w, ch, cfg.weight_vector,
                                        bounds.gamma_safe, cfg.p_max)
-            f1 = wb.wmmse_objective(u, w, out, ch, cfg.weight_vector, ch.noise_power)
+            f1 = wb.wmmse_objective(u, w, wb.received(ch, out), cfg.weight_vector, ch.noise_power)
             assert f1 <= f0 + 1e-9
 
 
@@ -661,9 +758,9 @@ def test_checkpoints_pair_with_the_returned_iterates(algorithm, seed, M, K):
         if algorithm == "ammmse" and v_old is not v_prev:
             v_hat = wb.extrapolate(v_prev, v_old, options.omega)
         u, w, v = it.receivers, it.weight_matrices, it.precoders
-        expected = (wb.wmmse_objective(u, w_prev, v_hat, ch, alpha, sigma2),
-                    wb.wmmse_objective(u, w, v_hat, ch, alpha, sigma2),
-                    wb.wmmse_objective(u, w, v, ch, alpha, sigma2))
+        expected = (wb.wmmse_objective(u, w_prev, wb.received(ch, v_hat), alpha, sigma2),
+                    wb.wmmse_objective(u, w, wb.received(ch, v_hat), alpha, sigma2),
+                    wb.wmmse_objective(u, w, wb.received(ch, v), alpha, sigma2))
         got = (rec.f_after_u, rec.f_after_w, rec.f_after_v)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0), rec.t
         if rec.stage is wb.Stage.UNWEIGHTED:  # W_t = W_{t-1} = I
@@ -790,11 +887,12 @@ def test_one_received_stack_per_iterate(monkeypatch):
     # WMMSE and MMMSE form H_k [V_1 ... V_K] once at V_0 and once per new
     # iterate; A-MMMSE once at each Vhat_t (Vhat_1 = V_0) and once per new
     # iterate, less one for each of the R iterations that a fall in the WSR
-    # restarts at V_{t-1}, whose pass they reuse.  Three more follow the loop:
-    # the last row's rate, the stationarity residual's receivers and the one
-    # checkpoint pass.  M32/K8 runs the loop in M dimensions, M64/K4 in the
-    # KN + Kd = 16 of its subspace basis; the counts are the same.  Of these
-    # A-MMMSE solves, M32/K8 at seed 2 restarts once.
+    # restarts at V_{t-1}, whose pass they reuse.  Two more follow the loop:
+    # the last row's rate and the stationarity residual's receivers; the
+    # checkpoint pass reads the loop's stacks.  M32/K8 runs the loop in M
+    # dimensions, M64/K4 in the KN + Kd = 16 of its subspace basis; the
+    # counts are the same.  Of these A-MMMSE solves, M32/K8 at seed 2
+    # restarts once.
     calls = []
     original = objective.received
 
@@ -807,13 +905,37 @@ def test_one_received_stack_per_iterate(monkeypatch):
     for M, K, seed in ((32, 8, 1), (64, 4, 1), (32, 8, 2)):
         cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=10.0, channel_seed=seed, init_seed=seed)
         ch = wb.generate_channels(cfg)
-        for algorithm, per_iterate, fixed in (("wmmse", 1, 4), ("mmmse", 1, 4), ("ammmse", 2, 3)):
+        for algorithm, per_iterate, fixed in (("wmmse", 1, 3), ("mmmse", 1, 3), ("ammmse", 2, 2)):
             calls.clear()
             res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
             assert res.iterations >= 5
             wsr = [rec.wsr_bits for rec in res.trace[:-1]]
             restarts = sum(b < a for a, b in zip(wsr, wsr[1:])) if algorithm == "ammmse" else 0
             assert len(calls) == per_iterate * res.iterations + fixed - restarts, (M, K, seed, algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["wmmse", "mmmse"])
+def test_factorizations_per_exact_solve(algorithm, monkeypatch):
+    # No QR inside the loop: the one QR of a solve is the subspace basis,
+    # taken when KN + Kd < M (M64/K4 here, not M32/K8 or M12/K8).  Two
+    # Cholesky calls per iteration: the stacked MMSE pass at V_t and the
+    # factor of alpha_k W_k in the precoder update.  Four more: the first
+    # iteration's pass at V_0, and after the loop the last row's rate, the
+    # stationarity residual's receivers and the checkpoints' ln det W.
+    counts = {"qr": 0, "cholesky": 0}
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    for M, K, seed in ((32, 8, 1), (64, 4, 1), (12, 8, 0)):
+        cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=10.0, channel_seed=seed, init_seed=seed)
+        ch = wb.generate_channels(cfg)
+        counts.update(qr=0, cholesky=0)
+        res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
+        assert res.iterations >= 5
+        assert counts == {"qr": int(K * 4 < M), "cholesky": 2 * res.iterations + 4}, (M, K)
 
 
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])

@@ -101,7 +101,8 @@ class TestFiniteDiffGradient:
         eye = wb.WeightMatrixSet.identity(cfg.K, cfg.d)
 
         def objective(vv):
-            return wb.wmmse_objective(u, eye, vv, ch, cfg.weight_vector, ch.noise_power)
+            return wb.wmmse_objective(u, eye, wb.received(ch, vv), cfg.weight_vector,
+                                      ch.noise_power)
 
         fd = wb.finite_diff_gradient(objective, v)
         assert np.max(np.abs(fd)) < 1e-10
@@ -209,7 +210,7 @@ class TestCheckLemmaBounds:
         bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
         v = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
         u0 = np.zeros((cfg.K, cfg.N, cfg.d), dtype=complex)
-        e = wb.mse_matrix(ch, u0, v, ch.noise_power)[0]
+        e = wb.mse_matrix(wb.received(ch, v), u0, ch.noise_power)[0]
         assert np.linalg.eigvalsh(e)[0] == pytest.approx(1.0, abs=1e-12)
         assert 1.0 >= bounds.ek_floor
 
