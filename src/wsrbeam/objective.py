@@ -19,6 +19,10 @@ stacked helpers (:func:`flatten_users`, :func:`received`, :func:`own_streams`,
 also take leading batch axes in front of the user axis, e.g. (T, K, ., .)
 stacks of T iterates against one (K, N, M) channel stack.  Each slice of a
 batched result agrees with the unbatched call on that slice to rounding.
+
+The precoder subproblem has one form, :class:`PrecoderFactor` (Y = F L and
+L^H, L L^H = blockdiag(alpha_k W_k)), built only by :func:`precoder_factor`
+and read by both precoder steps, :func:`gradient_v` and :func:`weighted_gram`.
 """
 
 from __future__ import annotations
@@ -211,6 +215,15 @@ def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnap
                          precoders, weights)
 
 
+def _of_hpd_weights(fn, w: np.ndarray):
+    """``fn(w)``, or an ObjectiveDomainError naming a user whose W_k is not HPD."""
+    try:
+        return fn(w)
+    except np.linalg.LinAlgError as exc:
+        k = int(np.argmin(np.linalg.eigvalsh(w)[..., 0])) % w.shape[-3]
+        raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
+
+
 def wmmse_objective(receivers, weight_matrices, hv: np.ndarray, weights, noise_power: float):
     """Matrix-weighted sum-MSE objective at a :func:`received` stack
     hv = H_k [V_1 ... V_K], in one stacked pass.
@@ -222,11 +235,7 @@ def wmmse_objective(receivers, weight_matrices, hv: np.ndarray, weights, noise_p
     """
     w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
-    try:
-        lndet_w = lndet_hpd(w)
-    except np.linalg.LinAlgError as exc:
-        k = int(np.argmin(np.linalg.eigvalsh(w)[..., 0])) % w.shape[-3]
-        raise ObjectiveDomainError(f"weight matrix of user {k} is singular or indefinite") from exc
+    lndet_w = _of_hpd_weights(lndet_hpd, w)
     e = mse_matrix(hv, receivers, noise_power)
     trace_we = np.real(np.einsum("...kij,...kji->...k", w, e))
     f = (trace_we - lndet_w) @ alpha
@@ -234,48 +243,44 @@ def wmmse_objective(receivers, weight_matrices, hv: np.ndarray, weights, noise_p
 
 
 class PrecoderFactor(NamedTuple):
-    """The precoder subproblem in factored form.
+    """The precoder subproblem in factored form, L_k L_k^H = alpha_k W_k:
 
-    f     F = [H_1^H U_1 ... H_K^H U_K]   (M x Kd)
-    dmat  D = blockdiag(alpha_k W_k)      (Kd x Kd, Hermitian positive definite)
+    y   Y = [H_1^H U_1 L_1 ... H_K^H U_K L_K]   (m x Kd)
+    lh  L^H = blockdiag(L_k^H)                  (Kd x Kd, upper triangular)
 
-    The subproblem's system matrix is A = F D F^H and its targets are
-    [B_1 ... B_K] = F D, so neither needs an M x M matrix.
+    Its system matrix is A = Y Y^H and its targets are [B_1 ... B_K] = Y L^H,
+    so it needs neither an m x m matrix nor D = blockdiag(alpha_k W_k).
     """
 
-    f: np.ndarray
-    dmat: np.ndarray
+    y: np.ndarray
+    lh: np.ndarray
 
     def gradient(self, precoders) -> np.ndarray:
-        """The (K, M, d) gradient 2 F D (F^H V - I) at ``precoders``
+        """The (K, M, d) gradient 2 Y (Y^H V - L^H) at ``precoders``
         (:func:`gradient_v`), in O(M (Kd)^2) and with no M x M product."""
         v = np.asarray(precoders)
         K, _, d = v.shape
-        return split_users(2.0 * (self.f @ (self.dmat @ (self.f.conj().T @ flatten_users(v)
-                                                         - np.eye(K * d)))), K, d)
+        return split_users(2.0 * (self.y @ (self.y.conj().T @ flatten_users(v) - self.lh)), K, d)
 
 
 def precoder_factor(channels, receivers, weight_matrices, weights) -> PrecoderFactor:
-    """F and D of the precoder subproblem at the given receivers and weights."""
+    """Y and L^H of the precoder subproblem, from one batched Cholesky of the
+    alpha_k W_k; an :class:`ObjectiveDomainError` if one is not HPD."""
     h = np.asarray(channels)
-    u = np.asarray(receivers)
-    w = np.asarray(weight_matrices)
     alpha = np.asarray(weights, dtype=np.float64)
-    hu = np.conj(np.swapaxes(h, 1, 2)) @ u  # (K, M, d): H_k^H U_k
-    K, d = w.shape[:2]
-    dmat = np.zeros((K, d, K, d), dtype=np.result_type(w, alpha))
-    dmat[np.arange(K), :, np.arange(K)] = alpha[:, None, None] * w
-    return PrecoderFactor(flatten_users(hu), dmat.reshape(K * d, K * d))
+    chol = _of_hpd_weights(np.linalg.cholesky, alpha[:, None, None] * np.asarray(weight_matrices))
+    y = flatten_users(np.conj(np.swapaxes(h, 1, 2)) @ np.asarray(receivers) @ chol)
+    K, d = chol.shape[:2]
+    lh = np.zeros((K, d, K, d), dtype=chol.dtype)
+    lh[np.arange(K), :, np.arange(K)] = np.conj(np.swapaxes(chol, 1, 2))
+    return PrecoderFactor(y, lh.reshape(K * d, K * d))
 
 
 def weighted_gram(channels, receivers, weight_matrices, weights) -> np.ndarray:
-    """System matrix A = F D F^H = sum_m alpha_m H_m^H U_m W_m U_m^H H_m
-    (M x M, PSD).
-
-    The solvers never form it: they work with :func:`precoder_factor`.
-    """
-    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
-    return hermitianize(f @ dmat @ f.conj().T)
+    """System matrix A = Y Y^H = sum_m alpha_m H_m^H U_m W_m U_m^H H_m (M x M,
+    PSD) of :func:`precoder_factor`.  The solvers never form it."""
+    y = precoder_factor(channels, receivers, weight_matrices, weights).y
+    return hermitianize(y @ y.conj().T)
 
 
 def gradient_v(receivers, weight_matrices, precoders, channels, weights) -> np.ndarray:
@@ -287,7 +292,7 @@ def gradient_v(receivers, weight_matrices, precoders, channels, weights) -> np.n
 
     where the complex gradient is the real gradient over the stacked real and
     imaginary coordinates.  It is evaluated in the factored form
-    2 F D (F^H V - I) with V = [V_1 ... V_K] (:meth:`PrecoderFactor.gradient`).
+    2 Y (Y^H V - L^H) with V = [V_1 ... V_K] (:meth:`PrecoderFactor.gradient`).
     """
     return precoder_factor(channels, receivers, weight_matrices, weights).gradient(precoders)
 

@@ -39,11 +39,11 @@ identity before row 1) and by W, with no product with H.  ``f_after_u`` and
 ``f_after_w`` are (U, Vhat) under W_prev and W, ``f_after_v`` is (U, V)
 under W.  The blocks become the result's :class:`BlockIterate` records.
 
-No M x M matrix is formed in the iteration loop.  Both precoder updates work
-with F = [H_1^H U_1 ... H_K^H U_K] (M x Kd) and D = blockdiag(alpha_k W_k):
-the exact update takes the thin SVD of F L, L L^H = D, with n = min(M, Kd)
-singular values (:func:`update_precoders_exact`), and the gradient step
-applies 2 F D (F^H V - I).  Per iteration the precoder update costs
+No M x M matrix is formed in the iteration loop.  Both precoder updates read
+one factor (:func:`~.objective.precoder_factor`): Y = [H_1^H U_1 L_1 ...
+H_K^H U_K L_K] (M x Kd) and L^H, L_k L_k^H = alpha_k W_k.  The exact update
+takes the thin SVD of Y, n = min(M, Kd) singular values, and the gradient
+step applies 2 Y (Y^H V - L^H).  Per iteration the precoder update costs
 O(M (Kd) n) for the exact update and O(M (Kd)^2) for the gradient step, and
 the MMSE pass O(K^2 N M d), all users at once, with no per-user loop.  The
 loop takes no QR.
@@ -373,25 +373,18 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
     """Exact minimizer of the precoder subproblem over the sum-power ball:
     V_k = alpha_k (sum_m alpha_m H_m^H U_m W_m U_m^H H_m + lam I)^{-1} H_k^H U_k W_k.
 
-    With L_k the Cholesky factor of alpha_k W_k and L = blockdiag(L_k), the
-    system matrix is FL FL^H and the targets are FL L^H, where
-    FL = [H_1^H U_1 L_1 ... H_K^H U_K L_K] (m x Kd, m the channels' column
-    count).  One :func:`bisect_dual` call on the factor FL and the targets
-    L^H solves it: the thin SVD of FL gives V = Q diag(sigma / (sigma^2 +
-    lam)) W^H L^H, the push-through form of (FL FL^H + lam I)^{-1} FL L^H.
-    No QR, no D = L L^H and no M x M matrix is formed, and the one code path
-    serves K d < m and K d >= m alike.  With identity weight matrices this
-    is exactly the unweighted sum-MSE precoder update (the warm-start stage
-    shares this code path).
+    Its system matrix is Y Y^H and user k's target Y T_k, with (Y, L^H) the
+    :func:`~.objective.precoder_factor` and T_k the k-th column block of L^H.
+    One :func:`bisect_dual` call on Y and the T_k solves it: the thin SVD of
+    Y gives V = Q diag(sigma / (sigma^2 + lam)) W^H L^H, the push-through
+    form of (Y Y^H + lam I)^{-1} Y L^H.  No QR, no D and no M x M matrix is
+    formed, and one code path serves Kd below and above the channels' column
+    count.  With identity weight matrices this is exactly the unweighted
+    sum-MSE precoder update (the warm-start stage shares this code path).
     """
-    h = np.asarray(channels)
-    alpha = np.asarray(weights, dtype=np.float64)
-    chol = np.linalg.cholesky(alpha[:, None, None] * np.asarray(weight_matrices))
-    fl = flatten_users(np.conj(np.swapaxes(h, 1, 2)) @ np.asarray(receivers) @ chol)
-    K, d = chol.shape[:2]
-    lh = np.zeros((K, K, d, d), dtype=chol.dtype)  # user k's T_k: L_k^H in row block k
-    lh[np.arange(K), np.arange(K)] = np.conj(np.swapaxes(chol, 1, 2))
-    return bisect_dual(fl, lh.reshape(K, K * d, d), p_max, factored=True).precoders
+    y, lh = precoder_factor(channels, receivers, weight_matrices, weights)
+    K, _, d = np.shape(receivers)
+    return bisect_dual(y, split_users(lh, K, d), p_max, factored=True).precoders
 
 
 def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weights,
@@ -401,18 +394,19 @@ def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weight
 
     ``gamma`` None takes the exact line search along -G, G the gradient at
     Vhat, on the subproblem's quadratic Tr(V^H A V) - 2 Re Tr(B^H V) + const
-    with A = F D F^H (Nocedal and Wright, Numerical Optimization, 2nd ed.,
-    section 3.3): gamma = ||G||^2 / (2 <F^H G, D F^H G>), and 0 when G = 0.
+    with A = Y Y^H (Nocedal and Wright, Numerical Optimization, 2nd ed.,
+    section 3.3): gamma = ||G||^2 / (2 ||Y^H G||^2), and 0 when G = 0.
     It has no setting and does not change under H -> c H, sigma^2 -> c^2
-    sigma^2.  Matrix multiplications only: the gradient and the step come
-    from one factored form (:class:`~.objective.PrecoderFactor`).
+    sigma^2.  The gradient 2 Y (Y^H V - L^H) and the step read one factor
+    (:class:`~.objective.PrecoderFactor`): a batched d x d Cholesky of the
+    alpha_k W_k, then matrix multiplications only.
     """
     vhat = np.asarray(extrapolated)
     factor = precoder_factor(channels, receivers, weight_matrices, weights)
     grad = factor.gradient(vhat)
     if gamma is None:
-        fg = factor.f.conj().T @ flatten_users(grad)
-        curvature = float(np.vdot(fg, factor.dmat @ fg).real)
+        yg = factor.y.conj().T @ flatten_users(grad)
+        curvature = float(np.vdot(yg, yg).real)
         gamma = total_power(grad) / (2.0 * curvature) if curvature > 0.0 else 0.0
     elif not (gamma >= 0):
         raise ConfigError("gamma must be nonnegative")

@@ -307,6 +307,13 @@ class TestRunExperiment:
         assert [(job[0], job[1].snr_db, job[1].channel_seed) for job in jobs] == [
             (r, snr, r) for snr in (0.0, 10.0, 20.0) for r in range(2)]
 
+    def test_gradient_oracle_skipped_above_coordinate_budget(self):
+        # K M d = 1040 is above the budget of 1024 coordinates: no report.
+        import wsrbeam.harness as harness
+        cfg = wb.SystemConfig(M=130, N=2, K=4, d=2, snr_db=10.0)
+        assert cfg.K * cfg.M * cfg.d > harness._FD_COORD_BUDGET
+        assert harness._gradient_fd_report(cfg) is None
+
     def test_solve_one_returns_no_iterates_and_scans_only_when_verifying(self):
         # The bound scan runs where the iterates are; they never leave it.
         import wsrbeam.harness as harness

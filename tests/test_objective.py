@@ -220,16 +220,49 @@ def test_weights_and_rates_match_high_precision_at_wmmse_solutions(snr_db, quant
 
 
 def test_precoder_factor_block_diagonal():
-    # D = blockdiag(alpha_k W_k), byte for byte what scipy.linalg.block_diag gives.
+    # L^H = blockdiag(L_k^H), L_k L_k^H = alpha_k W_k, byte for byte what
+    # scipy.linalg.block_diag gives, and Y = F blockdiag(L_k) to rounding.
     import scipy.linalg
     rng = np.random.default_rng(12)
     for K, d in ((1, 1), (3, 2), (5, 3)):
         cfg, ch = make_system(seed=K, M=8, N=3, K=K, d=d, weights=tuple(rng.uniform(0.5, 2, K)))
         u = rng.standard_normal((K, 3, d)) + 1j * rng.standard_normal((K, 3, d))
-        w = rng.standard_normal((K, d, d)) + 1j * rng.standard_normal((K, d, d))
-        dmat = wb.objective.precoder_factor(ch, u, w, cfg.weight_vector).dmat
-        expected = scipy.linalg.block_diag(*(cfg.weight_vector[:, None, None] * w))
-        assert dmat.dtype == expected.dtype and dmat.tobytes() == expected.tobytes()
+        a = rng.standard_normal((K, d, d)) + 1j * rng.standard_normal((K, d, d))
+        w = a @ np.conj(np.swapaxes(a, 1, 2)) + np.eye(d)  # Hermitian positive definite
+        y, lh = wb.objective.precoder_factor(ch, u, w, cfg.weight_vector)
+        chol = [np.linalg.cholesky(alpha * w_k) for alpha, w_k in zip(cfg.weight_vector, w)]
+        expected = scipy.linalg.block_diag(*(c.conj().T for c in chol))
+        assert lh.dtype == expected.dtype and lh.tobytes() == expected.tobytes()
+        f = wb.objective.flatten_users(np.conj(np.swapaxes(ch.channels, 1, 2)) @ u)
+        fl = f @ scipy.linalg.block_diag(*chol)
+        assert np.linalg.norm(y - fl) <= 1e-14 * np.linalg.norm(fl)
+
+
+def test_indefinite_weight_rejected_by_the_precoder_factor(small_system):
+    # Both precoder steps build the factor, so both name the user whose
+    # alpha_k W_k has no Cholesky factor.
+    cfg, ch = small_system
+    v = random_feasible(np.random.default_rng(11), cfg)
+    u = wb.update_receivers(ch, v, ch.noise_power)
+    for k in range(cfg.K):
+        w = np.tile(np.eye(cfg.d, dtype=complex), (cfg.K, 1, 1))
+        w[k] = np.diag([1.0, -1.0])
+        with pytest.raises(ObjectiveDomainError, match=f"user {k} "):
+            wb.gradient_v(u, w, v, ch, cfg.weight_vector)
+        with pytest.raises(ObjectiveDomainError, match=f"user {k} "):
+            wb.update_precoders_exact(ch, u, w, cfg.weight_vector, cfg.p_max)
+
+
+@pytest.mark.parametrize("noise_power", [0.0, -1e-3])
+def test_nonpositive_noise_power_rejected(small_system, noise_power):
+    cfg, ch = small_system
+    hv = wb.received(ch, random_feasible(np.random.default_rng(15), cfg))
+    with pytest.raises(ConfigError, match="noise power"):
+        wb.objective.mmse_gain(hv, noise_power)
+    with pytest.raises(ConfigError, match="noise power"):
+        wb.objective.mmse_pass(hv, noise_power)
+    with pytest.raises(ConfigError, match="noise power"):
+        wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, noise_power)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

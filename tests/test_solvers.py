@@ -9,8 +9,8 @@ import wsrbeam as wb
 from wsrbeam import objective, solvers
 from wsrbeam.errors import ConfigError, UnstableParametersError
 from wsrbeam.model import total_power
-from wsrbeam.objective import (flatten_users, mmse_gain, mmse_pass, precoder_factor, received,
-                               split_users, weighted_gram)
+from wsrbeam.objective import (flatten_users, mmse_gain, mmse_pass, received, split_users,
+                               weighted_gram)
 
 from conftest import make_system, mmse_blocks
 
@@ -19,6 +19,15 @@ def random_feasible(rng, cfg):
     v = (rng.standard_normal((cfg.K, cfg.M, cfg.d))
          + 1j * rng.standard_normal((cfg.K, cfg.M, cfg.d)))
     return wb.project_sum_power(wb.PrecoderSet(v), cfg.p_max)
+
+
+def subproblem_f_d(channels, receivers, weight_matrices, weights):
+    """F = [H_1^H U_1 ... H_K^H U_K] and D = blockdiag(alpha_k W_k) of the
+    precoder subproblem, built without the library's factor."""
+    import scipy.linalg
+    h, w = np.asarray(channels), np.asarray(weight_matrices)
+    f = flatten_users(np.conj(np.swapaxes(h, 1, 2)) @ np.asarray(receivers))
+    return f, scipy.linalg.block_diag(*(np.asarray(weights)[:, None, None] * w))
 
 
 def subproblem_targets(cfg, ch, receivers, wmats):
@@ -267,6 +276,19 @@ class TestBisectDual:
                 assert res.lam == pytest.approx(ref, rel=1e-12, abs=0.0), (seed, p_max)
                 assert p_max * (1 - 1e-12) <= total_power(res.precoders) <= p_max, (seed, p_max)
 
+    def test_newton_cap_returns_feasible_end_of_bracket(self, monkeypatch):
+        # One Newton step allowed on an active constraint: the solve stops
+        # unconverged at the bracket's upper end, sqrt(sum_i c_i / p_max) with
+        # sum_i c_i = ||B||_F^2 for this full-rank gram, which is feasible.
+        monkeypatch.setattr(solvers, "_NEWTON_MAX", 1)
+        gram, targets = self._subproblem(6, 4, 0)
+        p_max = 0.1
+        res = wb.bisect_dual(gram, targets, p_max)
+        assert not res.converged and res.iterations == 1
+        hi = math.sqrt(float(np.sum(np.abs(targets) ** 2)) / p_max)
+        assert res.lam == pytest.approx(hi, rel=1e-12, abs=0.0)
+        assert total_power(res.precoders) <= p_max
+
     @pytest.mark.parametrize("M, K", [(12, 3), (6, 4)])
     def test_inactive_constraint_returns_minimum_norm_answer(self, M, K):
         gram, targets = self._subproblem(M, K, 0)
@@ -332,7 +354,7 @@ def qr_route_update(channels, receivers, weight_matrices, weights, p_max):
     with F = Q R, V = Q X, where X solves the subproblem with gram R D R^H
     and targets R D, D = blockdiag(alpha_k W_k).  A reference route that
     shares only ``bisect_dual`` with ``update_precoders_exact``."""
-    f, dmat = precoder_factor(channels, receivers, weight_matrices, weights)
+    f, dmat = subproblem_f_d(channels, receivers, weight_matrices, weights)
     q, r = np.linalg.qr(f)
     rd = r @ dmat
     K, d = np.asarray(weight_matrices).shape[:2]
@@ -361,7 +383,7 @@ def high_precision_update(cfg, ch, u, w):
     A = F D F^H, eigenvalues at or below n eps s_max dropped, lam by bisection
     on P(lam) = p_max (1 - 1e-13) when P(0) > p_max, and
     V = E diag(1 / (s + lam)) E^H F D."""
-    f, dmat = precoder_factor(ch, u, w, cfg.weight_vector)
+    f, dmat = subproblem_f_d(ch, u, w, cfg.weight_vector)
     with mpmath.workdps(40):
         fm = mpmath.matrix(f.tolist())
         a = fm * mpmath.matrix(dmat.tolist()) * fm.transpose_conj()
@@ -919,9 +941,10 @@ def test_factorizations_per_exact_solve(algorithm, monkeypatch):
     # No QR inside the loop: the one QR of a solve is the subspace basis,
     # taken when KN + Kd < M (M64/K4 here, not M32/K8 or M12/K8).  Two
     # Cholesky calls per iteration: the stacked MMSE pass at V_t and the
-    # factor of alpha_k W_k in the precoder update.  Four more: the first
+    # factor of alpha_k W_k in the precoder update.  Five more: the first
     # iteration's pass at V_0, and after the loop the last row's rate, the
-    # stationarity residual's receivers and the checkpoints' ln det W.
+    # stationarity residual's receivers and its factor of alpha_k W_k, and
+    # the checkpoints' ln det W.
     counts = {"qr": 0, "cholesky": 0}
     for name in counts:
         def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -935,7 +958,7 @@ def test_factorizations_per_exact_solve(algorithm, monkeypatch):
         counts.update(qr=0, cholesky=0)
         res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
         assert res.iterations >= 5
-        assert counts == {"qr": int(K * 4 < M), "cholesky": 2 * res.iterations + 4}, (M, K)
+        assert counts == {"qr": int(K * 4 < M), "cholesky": 2 * res.iterations + 5}, (M, K)
 
 
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
