@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,23 @@ def flatten_users(stack: np.ndarray) -> np.ndarray:
     columns k*d..k*d+d-1."""
     *lead, k, m, d = stack.shape
     return np.ascontiguousarray(np.swapaxes(stack, -3, -2).reshape(*lead, m, k * d))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per size and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=None)
+def _interference_mask(k: int, d: int) -> np.ndarray:
+    """The (k, 1, k*d) 0/1 mask that zeroes user k's own column block of a
+    :func:`received` stack, built once per shape and read-only."""
+    mask = (1.0 - np.repeat(np.eye(k), d, axis=1))[:, None, :]
+    mask.flags.writeable = False
+    return mask
 
 
 def split_users(flat: np.ndarray, k: int, d: int) -> np.ndarray:
@@ -105,7 +123,8 @@ def received(channels, precoders) -> np.ndarray:
 def covariance(hv: np.ndarray, noise_power: float) -> np.ndarray:
     """sum_j H_k V_j V_j^H H_k^H + sigma^2 I over the column blocks of a
     :func:`received` stack."""
-    return hermitianize(hv @ np.conj(np.swapaxes(hv, -1, -2))) + noise_power * np.eye(hv.shape[-2])
+    gram = hermitianize(hv @ np.conj(np.swapaxes(hv, -1, -2)))
+    return gram + noise_power * _identity(hv.shape[-2])
 
 
 def own_streams(hv: np.ndarray) -> np.ndarray:
@@ -120,7 +139,7 @@ def interfering(hv: np.ndarray) -> np.ndarray:
     interference-plus-noise covariance, formed directly rather than as
     C_k - H_k V_k V_k^H H_k^H so it stays accurate at high SNR."""
     K, _, kd = hv.shape[-3:]
-    return hv * (1.0 - np.repeat(np.eye(K), kd // K, axis=1))[:, None, :]
+    return hv * _interference_mask(K, kd // K)
 
 
 def mse_matrix(hv: np.ndarray, receivers, noise_power: float) -> np.ndarray:
@@ -134,7 +153,7 @@ def mse_matrix(hv: np.ndarray, receivers, noise_power: float) -> np.ndarray:
     covariance."""
     u = np.asarray(receivers)
     uh = np.conj(np.swapaxes(u, -1, -2))
-    t = np.eye(u.shape[-1]) - uh @ own_streams(hv)
+    t = _identity(u.shape[-1]) - uh @ own_streams(hv)
     return hermitianize(t @ np.conj(np.swapaxes(t, -1, -2))
                         + uh @ covariance(interfering(hv), noise_power) @ u)
 
@@ -183,7 +202,7 @@ def gain_weights(g: np.ndarray) -> np.ndarray:
     matrix inversion lemma this is (I - U_k^H H_k V_k)^{-1} at the MMSE
     receivers, the inverse MSE matrix, formed without an inversion: Hermitian
     positive definite by construction and accurate at high SNR."""
-    return np.eye(g.shape[-1]) + g
+    return _identity(g.shape[-1]) + g
 
 
 def gain_rates(g: np.ndarray) -> np.ndarray:

@@ -48,18 +48,24 @@ O(M (Kd) n) for the exact update and O(M (Kd)^2) for the gradient step, and
 the MMSE pass O(K^2 N M d), all users at once, with no per-user loop.  The
 loop takes no QR.
 
-Every iterate lies in S = span([H_1^H ... H_K^H, V_0]), of dimension at most
-r = KN + Kd: the exact update and the gradient lie in the range of F, inside
-that of H^H, and extrapolation and projection combine earlier iterates.  So
-when r < M, :func:`solve` takes one thin QR Q (M x r) of [H^H, V_0] per
-solve (O(M r^2)), runs the loop unchanged on H_k Q and X = Q^H V_0, and maps
-every stored iterate back as V = Q X.  An iteration then costs what it costs
-at M = r, and the M-sized work is the QR, H Q and the map-back.  Receivers,
-weights, rates, the objective checkpoints and the stationarity residual do
-not change under V = Q X, so they are taken in the loop's coordinates; the
-bounds and the last row's rate are taken on the full channels.  Without V_0
-in the basis A-MMMSE would start from its projection onto range(H^H), a
-different solve.  When r >= M the loop runs in all M dimensions.
+Every iterate lies in a subspace of dimension r, the same for every
+iteration.  The exact update lies in the range of Y, inside that of
+H^H = [H_1^H ... H_K^H], so every WMMSE and MMMSE iterate lies in range(H^H),
+r = KN (the basis of reduced WMMSE: Zhao, Lu, Shi and Luo, IEEE Trans.
+Signal Process. 71, 2023), and V_0 enters them only through
+H V_0 = (H Q)(Q^H V_0).  A-MMMSE's gradient lies there too, but its
+extrapolation and projection carry V_0's component outside range(H^H) into
+every iterate, so its iterates lie in span([H^H, V_0]), r = KN + Kd.  When
+r < M, :func:`solve` takes one thin QR Q (M x r) of H^H or [H^H, V_0] per
+solve (O(M r^2), :func:`_subspace_basis`), runs the loop unchanged on H_k Q
+and X = Q^H V_0, and maps every stored iterate back as V = Q X.  An iteration
+then costs what it costs at M = r, and the M-sized work is the QR, H Q and
+the map-back.  Receivers, weights, rates, the objective checkpoints and the
+stationarity residual do not change under V = Q X, so they are taken in the
+loop's coordinates; the bounds, the last row's rate and every row's power
+are taken in M dimensions.  Without V_0 in its basis A-MMMSE would start
+from its projection onto range(H^H), a different solve.  When r >= M the
+loop runs in all M dimensions.
 
 The loop works on plain (K, ., .) ndarrays: every block function reads its
 block arguments (arrays or matrix sets) through ``np.asarray``, returns an
@@ -106,12 +112,12 @@ from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tr
     total_power,
 )
 from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_weight_matrices and weighted_gram here
+    LN2,
     BoundsReport,
-    ObjectiveSnapshot,
     compute_bounds,
     covariance,
     flatten_users,
-    gain_snapshot,
+    gain_rates,
     gain_weights,
     mmse_gain,
     mmse_pass,
@@ -320,14 +326,21 @@ def bisect_dual(system: np.ndarray, targets, p_max: float, *,
         s, c = sigma * sigma, sigma[:, None] * (wh @ b)
     else:
         s, q = np.linalg.eigh(system)
+        s, q = s[::-1], q[:, ::-1]  # descending, the order of the SVD's
         c = q.conj().T @ b
-    s_max = max(float(s.max()), 0.0)
-    keep = s > len(s) * _EPS * s_max
-    if not keep.all():
-        s, q, c = s[keep], q[:, keep], c[keep]
+    # LAPACK orders the spectrum, so s_max is s[0] and the dropped
+    # eigenvalues are a tail: no reduction over s is needed.
+    spectrum = s.tolist()
+    s_max = max(spectrum[0], 0.0)
+    cut = len(spectrum) * _EPS * s_max
+    kept = len(spectrum)
+    while kept and not spectrum[kept - 1] > cut:
+        kept -= 1
+    if kept < len(spectrum):
+        s, q, c = s[:kept], q[:, :kept], c[:kept]
     parts = c.view(np.float64)  # the real and imaginary parts of each row of C
     weight = np.sum(parts * parts, axis=1)
-    pairs = list(zip(s.tolist(), weight.tolist()))  # (s_i, c_i) as Python floats
+    pairs = list(zip(spectrum[:kept], weight.tolist()))  # (s_i, c_i) as Python floats
 
     def solution(lam: float) -> np.ndarray:
         return split_users(q @ (c / (s + lam)[:, None]), K, d)
@@ -384,7 +397,9 @@ def update_precoders_exact(channels, receivers, weight_matrices, weights, p_max:
     """
     y, lh = precoder_factor(channels, receivers, weight_matrices, weights)
     K, _, d = np.shape(receivers)
-    return bisect_dual(y, split_users(lh, K, d), p_max, factored=True).precoders
+    # The T_k as a view of L^H, which bisect_dual flattens back without a copy.
+    targets = lh.reshape(K * d, K, d).swapaxes(0, 1)
+    return bisect_dual(y, targets, p_max, factored=True).precoders
 
 
 def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weights,
@@ -444,13 +459,23 @@ def _stationarity_residual(h: np.ndarray, v: np.ndarray, w: np.ndarray, weights,
     return float(np.linalg.norm(v - stepped)) / max(1.0, norm_v)
 
 
-def _subspace_basis(h: np.ndarray, v0: np.ndarray) -> np.ndarray | None:
-    """An orthonormal basis Q (M x r) of a space that holds every iterate:
-    the thin QR of [H_1^H ... H_K^H, V_0], r = KN + Kd; None when r >= M."""
+def _subspace_basis(h: np.ndarray, v0: np.ndarray, algorithm: Algorithm) -> np.ndarray | None:
+    """An orthonormal basis Q (M x r) of a space that holds every iterate of
+    ``algorithm``, or None when r >= M.
+
+    For WMMSE and MMMSE it is the thin QR of H^H = [H_1^H ... H_K^H],
+    r = KN: each exact update lies in the range of Y, inside that of H^H,
+    and V_0 enters only through H V_0 = (H Q)(Q^H V_0).  For A-MMMSE it is
+    the thin QR of [H^H, V_0], r = KN + Kd: extrapolation and projection
+    carry V_0's component outside the range of H^H into every iterate.
+    """
     K, N, M = h.shape
-    if K * (N + v0.shape[2]) >= M:
+    with_v0 = algorithm is Algorithm.AMMMSE
+    if K * (N + with_v0 * v0.shape[2]) >= M:
         return None
-    a = np.concatenate([flatten_users(np.conj(np.swapaxes(h, 1, 2))), flatten_users(v0)], axis=1)
+    a = flatten_users(np.conj(np.swapaxes(h, 1, 2)))
+    if with_v0:
+        a = np.concatenate([a, flatten_users(v0)], axis=1)
     return np.linalg.qr(a)[0]
 
 
@@ -479,9 +504,9 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         gamma = bounds.gamma_safe
 
     v_curr = project_sum_power(init_precoders(config), config.p_max)
-    # When r = KN + Kd < M, the loop runs in the coordinates of the basis Q
-    # of span([H^H, V_0]): channels H_k Q and precoders X with V = Q X.
-    q = _subspace_basis(h, v_curr)
+    # When r < M, the loop runs in the coordinates of the subspace basis Q:
+    # channels H_k Q and precoders X with V = Q X.
+    q = _subspace_basis(h, v_curr, options.algorithm)
     if q is not None:
         h, v_curr = h @ q, q.conj().T @ v_curr
     v_old = v_curr
@@ -495,7 +520,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     # Per iteration: the blocks (U, W, V), the received stacks at Vhat and at
     # V, and (WSR, rel change, stage).
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    steps: list[tuple[ObjectiveSnapshot, float, Stage]] = []
+    steps: list[tuple[float, float, Stage]] = []
     running_max = -math.inf
     drop_streak = 0
     converged = False
@@ -535,13 +560,14 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             u, g = None, mmse_gain(hv, sigma2)
         else:
             u, g = mmse_pass(hv, sigma2)
-        snap = gain_snapshot(g, v_new, weights)
-        rel = math.inf if t == 1 else _rel_change(snap.wsr_nats, steps[-1][0].wsr_nats)
-        steps.append((snap, rel, stage))
+        # The rate of gain_snapshot; the rows' powers come after the loop.
+        wsr = float(weights @ gain_rates(g))
+        rel = math.inf if t == 1 else _rel_change(wsr, steps[-1][0])
+        steps.append((wsr, rel, stage))
 
         if first_order:
-            running_max = max(running_max, snap.wsr_nats)
-            if snap.wsr_nats < 0.5 * running_max:
+            running_max = max(running_max, wsr)
+            if wsr < 0.5 * running_max:
                 drop_streak += 1
             else:
                 drop_streak = 0
@@ -552,7 +578,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
                     f"for 5 consecutive iterations under {step}, omega={omega!r}")
 
         # The restart: after a fall in the WSR the next iteration starts at V_t.
-        fell = t >= 2 and snap.wsr_nats < steps[-2][0].wsr_nats
+        fell = t >= 2 and wsr < steps[-2][0]
         v_old, v_curr = v_new if fell else v_curr, v_new
         if weighted and rel <= options.eps2:
             converged = True
@@ -564,7 +590,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         vs_full = np.swapaxes((q @ flatten_users(vs)).reshape(len(vs), -1, config.K, config.d), 1, 2)
     # The last row's rate by the public route, on the full channels; the exit
     # check starts after it.
-    steps[-1] = (weighted_sum_rate(channels, vs_full[-1], weights), *steps[-1][1:])
+    steps[-1] = (weighted_sum_rate(channels, vs_full[-1], weights).wsr_nats, *steps[-1][1:])
     if bounds is None:
         bounds = compute_bounds(channels, weights, config.p_max, sigma2)
     w_exit = gain_weights(g) if weighted else eye_w  # g is the pass at v_curr
@@ -577,11 +603,12 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     f = wmmse_objective(us, np.stack([w_prevs, ws])[None], np.stack([hv_hats, hvs])[:, None],
                         weights, sigma2)
     f_after_u, f_after_w, f_after_v = f[0, 0].tolist(), f[0, 1].tolist(), f[1, 1].tolist()
+    # Each row's power is that of the returned iterate, in M dimensions.
     records = tuple(
-        IterationRecord(t=t, wsr_bits=snap.wsr_bits, total_power=snap.total_power,
+        IterationRecord(t=t, wsr_bits=wsr / LN2, total_power=total_power(v),
                         stage=stage, f_after_u=fu, f_after_w=fw, f_after_v=fv, rel_change=rel)
-        for t, ((snap, rel, stage), fu, fw, fv)
-        in enumerate(zip(steps, f_after_u, f_after_w, f_after_v), start=1))
+        for t, ((wsr, rel, stage), v, fu, fw, fv)
+        in enumerate(zip(steps, vs_full, f_after_u, f_after_w, f_after_v), start=1))
     return SolveResult(
         final_precoders=PrecoderSet(vs_full[-1]),
         trace=records,

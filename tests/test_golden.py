@@ -3,9 +3,10 @@
 The table pins what each solve ends with -- the iteration count, the switch
 iteration of the two-stage solvers, the converged flag and the final weighted
 sum rate -- on M8/K3, M16/K4 and M64/K4 (N = 2, d = 2) at 0, 10 and 20 dB,
-with channel_seed = init_seed = 0, 1, 2 and default options.  M64/K4 is the
-one shape with KN + Kd < M, where the loop runs in the subspace basis; its
-rows were taken with the loop in all M dimensions.  A refactor that is meant
+with channel_seed = init_seed = 0, 1, 2 and default options.  WMMSE and MMMSE
+run the loop in the basis of range(H^H) on all three shapes (KN < M), A-MMMSE
+in that of span([H^H, V_0]) on M64/K4 only (KN + Kd < M); every row was
+taken with the loop in all M dimensions.  A refactor that is meant
 to keep behaviour must keep every row: counts and flags exactly, the rate to
 1e-10 relative.
 """

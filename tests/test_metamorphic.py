@@ -12,7 +12,7 @@ model maps to known changes of every output.
   and maps the gradient and both precoder updates to Theta^H times them.
   At solve level, with the initial draw V_0 -> Theta^H V_0 as well, the whole
   solve is the same with precoders Theta^H V, whether the loop runs in all M
-  dimensions or in the basis of span([H^H, V_0]).
+  dimensions or in a subspace basis.
 
 Every comparison holds to TOL relative to the Frobenius norm of the expected
 output: the transformed inputs round differently, nothing more.
@@ -107,8 +107,9 @@ def test_transmit_rotation(shape, seed):
 
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
 def test_transmit_rotation_of_the_solve(algorithm, monkeypatch):
-    # M8/K3 and M16/K4 run the loop in M dimensions, M64/K4 and M128/K4
-    # (KN + Kd = 16 < M) in the subspace basis.
+    # WMMSE and MMMSE run every shape in the basis of range(H^H) (KN < M);
+    # A-MMMSE runs M8/K3 and M16/K4 in M dimensions, M64/K4 and M128/K4
+    # (KN + Kd = 16 < M) in the basis of span([H^H, V_0]).
     options = wb.SolverOptions(algorithm=algorithm)
     draw = solvers.init_precoders
     for M, K in ((8, 3), (16, 4), (64, 4), (128, 4)):

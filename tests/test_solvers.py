@@ -857,9 +857,10 @@ def test_loop_and_public_functions_share_one_route(algorithm, M, K, monkeypatch)
     # use, so each recorded block is the public function's value, byte for
     # byte.  Row t's blocks are taken at Vhat_t: V_{t-1}, with V_0 the
     # projected initial draw, or A-MMMSE's extrapolated point, unless row t-1's
-    # WSR fell below row t-2's (the restart).  At M64/K4,
-    # KN + Kd = 16 < M, so the loop runs on H Q and X = Q^H V_0 with Q the
-    # subspace basis: its blocks are the public functions' there, each stored
+    # WSR fell below row t-2's (the restart).  Where the subspace basis Q
+    # exists (r = KN < M for WMMSE and MMMSE: M8/K3, M32/K8 and M64/K4;
+    # r = KN + Kd < M for A-MMMSE: M64/K4), the loop runs on H Q and
+    # X = Q^H V_0: its blocks are the public functions' there, each stored
     # iterate is Q X_t (to rounding: the map-back is one product over all
     # iterates), and the last row's rate is taken on the full channels.
     cfg, ch = make_system(seed=2, M=M, N=2, K=K, d=2)
@@ -876,8 +877,8 @@ def test_loop_and_public_functions_share_one_route(algorithm, M, K, monkeypatch)
     res = wb.solve(ch, cfg, options)
     sigma2 = ch.noise_power
     v0 = wb.project_sum_power(wb.init_precoders(cfg), cfg.p_max)
-    q = solvers._subspace_basis(ch.channels, v0)
-    assert (q is not None) == (2 * K + 2 * K < M)
+    q = solvers._subspace_basis(ch.channels, v0, options.algorithm)
+    assert (q is not None) == (2 * K + 2 * K * (algorithm == "ammmse") < M)
     loop_ch = ch if q is None else wb.ChannelSet(ch.channels @ q, noise_power=sigma2)
     v_old = v_prev = v0 if q is None else q.conj().T @ v0
     wsr_prev = -math.inf  # row 1 has no row before it to fall from
@@ -911,10 +912,10 @@ def test_one_received_stack_per_iterate(monkeypatch):
     # iterate, less one for each of the R iterations that a fall in the WSR
     # restarts at V_{t-1}, whose pass they reuse.  Two more follow the loop:
     # the last row's rate and the stationarity residual's receivers; the
-    # checkpoint pass reads the loop's stacks.  M32/K8 runs the loop in M
-    # dimensions, M64/K4 in the KN + Kd = 16 of its subspace basis; the
-    # counts are the same.  Of these A-MMMSE solves, M32/K8 at seed 2
-    # restarts once.
+    # checkpoint pass reads the loop's stacks.  A-MMMSE runs M32/K8 in M
+    # dimensions and M64/K4 in the KN + Kd = 16 of its subspace basis, the
+    # exact solvers both in the KN of theirs; the counts are the same.  Of
+    # these A-MMMSE solves, M32/K8 at seed 2 restarts once.
     calls = []
     original = objective.received
 
@@ -939,7 +940,7 @@ def test_one_received_stack_per_iterate(monkeypatch):
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse"])
 def test_factorizations_per_exact_solve(algorithm, monkeypatch):
     # No QR inside the loop: the one QR of a solve is the subspace basis,
-    # taken when KN + Kd < M (M64/K4 here, not M32/K8 or M12/K8).  Two
+    # taken when KN < M (M32/K8 and M64/K4 here, not M12/K8).  Two
     # Cholesky calls per iteration: the stacked MMSE pass at V_t and the
     # factor of alpha_k W_k in the precoder update.  Five more: the first
     # iteration's pass at V_0, and after the loop the last row's rate, the
@@ -958,20 +959,24 @@ def test_factorizations_per_exact_solve(algorithm, monkeypatch):
         counts.update(qr=0, cholesky=0)
         res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
         assert res.iterations >= 5
-        assert counts == {"qr": int(K * 4 < M), "cholesky": 2 * res.iterations + 5}, (M, K)
+        assert counts == {"qr": int(K * 2 < M), "cholesky": 2 * res.iterations + 5}, (M, K)
 
 
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
 def test_subspace_route_matches_full_route(algorithm, monkeypatch):
-    # With KN + Kd < M (r = 8, 16 and 16 here) every iterate lies in
-    # span([H^H, V_0]) and the loop runs in its basis.  Forcing the loop into
-    # all M dimensions gives the same solve: the same counts and flags, and the
-    # rate and the final precoders to rounding.  A-MMMSE also runs at 30 and
-    # 40 dB, where its step is most sensitive to rounding.
+    # Every iterate lies in the span of the subspace basis, and the loop runs
+    # in it: range(H^H) for WMMSE and MMMSE (r = KN), span([H^H, V_0]) for
+    # A-MMMSE (r = KN + Kd).  With r < M (r = 8, 16 and 16 for A-MMMSE, half
+    # that for the exact solvers) forcing the loop into all M dimensions gives
+    # the same solve: the same counts and flags, and the rate and the final
+    # precoders to rounding.  The exact solvers also run M16/K4 and M32/K8,
+    # where KN < M <= KN + Kd.  A-MMMSE also runs at 30 and 40 dB, where its
+    # step is most sensitive to rounding.
     options = wb.SolverOptions(algorithm=algorithm)
     worst = 0.0
     snrs = (0.0, 10.0, 20.0) + ((30.0, 40.0) if algorithm == "ammmse" else ())
-    for M, K in ((64, 2), (128, 4), (1024, 4)):
+    shapes = ((64, 2), (128, 4), (1024, 4)) + (() if algorithm == "ammmse" else ((16, 4), (32, 8)))
+    for M, K in shapes:
         for snr in snrs:
             for seed in range(3):
                 cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=snr,
@@ -979,7 +984,7 @@ def test_subspace_route_matches_full_route(algorithm, monkeypatch):
                 ch = wb.generate_channels(cfg)
                 reduced = wb.solve(ch, cfg, options)
                 with monkeypatch.context() as m:
-                    m.setattr(solvers, "_subspace_basis", lambda h, v0: None)
+                    m.setattr(solvers, "_subspace_basis", lambda h, v0, algorithm: None)
                     full = wb.solve(ch, cfg, options)
                 case = (M, K, snr, seed)
                 assert reduced.iterations == full.iterations, case
@@ -990,3 +995,26 @@ def test_subspace_route_matches_full_route(algorithm, monkeypatch):
                 v, v_full = reduced.final_precoders.precoders, full.final_precoders.precoders
                 worst = max(worst, float(np.linalg.norm(v - v_full) / np.linalg.norm(v_full)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("M, K", [(16, 4), (32, 8), (12, 4)])
+def test_exact_iterates_lie_in_the_channel_range(M, K, monkeypatch):
+    # Why only A-MMMSE keeps V_0 in its basis: on the full route, every
+    # WMMSE and MMMSE iterate lies in range(H^H) to rounding, while A-MMMSE's
+    # extrapolation and projection carry V_0's component outside it.  On
+    # this grid at most 2.5e-14 of an exact iterate's norm lies outside
+    # range(H^H); each A-MMMSE solve has an iterate with 9e-5 to 0.69 there.
+    monkeypatch.setattr(solvers, "_subspace_basis", lambda h, v0, algorithm: None)
+    for snr in (-40.0, 0.0, 20.0, 60.0):
+        for seed in range(3):
+            cfg = wb.SystemConfig(M=M, N=2, K=K, d=2, snr_db=snr,
+                                  channel_seed=seed, init_seed=seed)
+            ch = wb.generate_channels(cfg)
+            q = np.linalg.qr(ch.channels.reshape(K * 2, M).conj().T)[0]  # range(H^H)
+            for algorithm in ("wmmse", "mmmse", "ammmse"):
+                res = wb.solve(ch, cfg, wb.SolverOptions(algorithm=algorithm))
+                v = flatten_users(np.stack([it.precoders for it in res.iterates]))
+                outside = (np.linalg.norm(v - q @ (q.conj().T @ v), axis=(1, 2))
+                           / np.linalg.norm(v, axis=(1, 2)))
+                case = (algorithm, snr, seed)
+                assert (outside.max() <= 1e-12) == (algorithm != "ammmse"), case
