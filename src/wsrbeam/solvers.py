@@ -20,13 +20,16 @@ two the exact update.  Each iteration of the loop runs:
 Steps 2 and 4 are MMSE passes over a received stack H_k [V_1 ... V_K]: a
 Cholesky of its covariance gives the receivers, one of the
 interference-plus-noise covariance the gain G_k (:func:`~.objective.mmse_gain`),
-I + G_k the weights and sum log1p eig G_k the rates.  Where a pass needs both
-the receivers and the gain, :func:`~.objective.mmse_pass` takes both
-factors in one batched Cholesky.  For WMMSE and MMMSE the pass at V_t serves
-step 4 of iteration t and step 2 of t+1.  A-MMMSE forms one more stack, at
-each extrapolated Vhat, takes only the gain at V_t, and the stacked pass at
-Vhat only in the weighted stage.  Through the public functions' helpers and
-LAPACK calls, the loop's values are theirs bit for bit.  One
+I + G_k the weights and sum log1p eig G_k the rates.
+:func:`~.objective.mmse_pass` takes both factors in one batched Cholesky.
+One pass at V_0 serves step 2 of iteration 1, and one pass per iteration
+serves step 4 of iteration t and step 2 of t+1.  For WMMSE and MMMSE it is
+the pass at V_t, which is Vhat_{t+1}.  A-MMMSE forms Vhat_{t+1} at the end
+of iteration t and stacks it with V_t: the pass over both gives row t's
+rate, and the receivers and weights of iteration t+1 at Vhat_{t+1}, or at
+V_t after a restart.  A non-finite Vhat_{t+1} raises only in an iteration
+t+1 that extrapolates.  Through the public functions' helpers and LAPACK
+calls, slice by slice, the loop's values are theirs bit for bit.  One
 ``weighted_sum_rate`` call stays after the loop, for the last row, on the
 full channels: perfbench/metrics.py starts a solve's exit check where it
 ends.
@@ -48,24 +51,23 @@ O(M (Kd) n) for the exact update and O(M (Kd)^2) for the gradient step, and
 the MMSE pass O(K^2 N M d), all users at once, with no per-user loop.  The
 loop takes no QR.
 
-Every iterate lies in a subspace of dimension r, the same for every
-iteration.  The exact update lies in the range of Y, inside that of
-H^H = [H_1^H ... H_K^H], so every WMMSE and MMMSE iterate lies in range(H^H),
-r = KN (the basis of reduced WMMSE: Zhao, Lu, Shi and Luo, IEEE Trans.
-Signal Process. 71, 2023), and V_0 enters them only through
-H V_0 = (H Q)(Q^H V_0).  A-MMMSE's gradient lies there too, but its
-extrapolation and projection carry V_0's component outside range(H^H) into
-every iterate, so its iterates lie in span([H^H, V_0]), r = KN + Kd.  When
-r < M, :func:`solve` takes one thin QR Q (M x r) of H^H or [H^H, V_0] per
-solve (O(M r^2), :func:`_subspace_basis`), runs the loop unchanged on H_k Q
-and X = Q^H V_0, and maps every stored iterate back as V = Q X.  An iteration
-then costs what it costs at M = r, and the M-sized work is the QR, H Q and
+Every iterate of all three algorithms lies in range(H^H),
+H^H = [H_1^H ... H_K^H], of dimension r = KN (the basis of reduced WMMSE:
+Zhao, Lu, Shi and Luo, IEEE Trans. Signal Process. 71, 2023).  The exact
+update lies in the range of Y, inside range(H^H), and so does A-MMMSE's
+gradient 2 Y (Y^H V - L^H); its extrapolation and the power scaling combine
+iterates, so they stay there.  V_0 enters a solve through its component in
+range(H^H) alone: the exact solvers read it only through
+H V_0 = (H Q)(Q^H V_0), and A-MMMSE starts at Q^H V_0, unscaled.  When
+KN < M, :func:`solve` takes one thin QR Q (M x KN) of H^H per solve
+(O(M (KN)^2), :func:`_subspace_basis`), runs the loop unchanged on H_k Q and
+X = Q^H V_0, and maps every stored iterate back as V = Q X.  An iteration
+then costs what it costs at M = KN, and the M-sized work is the QR, H Q and
 the map-back.  Receivers, weights, rates, the objective checkpoints and the
 stationarity residual do not change under V = Q X, so they are taken in the
 loop's coordinates; the bounds, the last row's rate and every row's power
-are taken in M dimensions.  Without V_0 in its basis A-MMMSE would start
-from its projection onto range(H^H), a different solve.  When r >= M the
-loop runs in all M dimensions.
+are taken in M dimensions.  When KN >= M the loop runs in all M dimensions
+from V_0, and range(H^H) is all of C^M for channels of full rank.
 
 The loop works on plain (K, ., .) ndarrays: every block function reads its
 block arguments (arrays or matrix sets) through ``np.asarray``, returns an
@@ -83,8 +85,8 @@ A-MMMSE's step needs no setting: by default it is the exact line search on
 the precoder subproblem (:func:`pgd_precoder_step`).  Its momentum, omega =
 0.5 by default, comes with a function restart (O'Donoghue and Candes, Found.
 Comput. Math. 15, 2015): after an iteration whose weighted sum rate fell
-below the previous one, V_old <- V_t, so the next iteration takes no
-extrapolation and reuses the MMSE pass at V_t.
+below the previous one the next iteration takes no extrapolation and starts
+at V_t, whose receivers and weights the stacked pass already holds.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_we
     flatten_users,
     gain_rates,
     gain_weights,
-    mmse_gain,
     mmse_pass,
     own_streams,
     precoder_factor,
@@ -459,24 +460,21 @@ def _stationarity_residual(h: np.ndarray, v: np.ndarray, w: np.ndarray, weights,
     return float(np.linalg.norm(v - stepped)) / max(1.0, norm_v)
 
 
-def _subspace_basis(h: np.ndarray, v0: np.ndarray, algorithm: Algorithm) -> np.ndarray | None:
-    """An orthonormal basis Q (M x r) of a space that holds every iterate of
-    ``algorithm``, or None when r >= M.
+def _subspace_basis(h: np.ndarray) -> np.ndarray | None:
+    """The thin QR Q (M x KN) of H^H = [H_1^H ... H_K^H], an orthonormal
+    basis of range(H^H) that holds every iterate of all three algorithms, or
+    None when KN >= M.
 
-    For WMMSE and MMMSE it is the thin QR of H^H = [H_1^H ... H_K^H],
-    r = KN: each exact update lies in the range of Y, inside that of H^H,
-    and V_0 enters only through H V_0 = (H Q)(Q^H V_0).  For A-MMMSE it is
-    the thin QR of [H^H, V_0], r = KN + Kd: extrapolation and projection
-    carry V_0's component outside the range of H^H into every iterate.
+    Each exact update lies in the range of Y, and each gradient step's
+    direction 2 Y (Y^H V - L^H) too, inside range(H^H); extrapolation and the
+    power scaling keep an iterate there.  V_0 enters the solve through its
+    component Q^H V_0 there: the exact solvers read it only through
+    H V_0 = (H Q)(Q^H V_0), A-MMMSE starts at it.
     """
     K, N, M = h.shape
-    with_v0 = algorithm is Algorithm.AMMMSE
-    if K * (N + with_v0 * v0.shape[2]) >= M:
+    if K * N >= M:
         return None
-    a = flatten_users(np.conj(np.swapaxes(h, 1, 2)))
-    if with_v0:
-        a = np.concatenate([a, flatten_users(v0)], axis=1)
-    return np.linalg.qr(a)[0]
+    return np.linalg.qr(flatten_users(np.conj(np.swapaxes(h, 1, 2))))[0]
 
 
 def _finite(t: int, block: str, out: np.ndarray) -> np.ndarray:
@@ -504,14 +502,18 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         gamma = bounds.gamma_safe
 
     v_curr = project_sum_power(init_precoders(config), config.p_max)
-    # When r < M, the loop runs in the coordinates of the subspace basis Q:
-    # channels H_k Q and precoders X with V = Q X.
-    q = _subspace_basis(h, v_curr, options.algorithm)
+    # When KN < M, the loop runs in the coordinates of the basis Q of
+    # range(H^H): channels H_k Q and precoders X with V = Q X, from X_0 = Q^H V_0.
+    q = _subspace_basis(h)
     if q is not None:
         h, v_curr = h @ q, q.conj().T @ v_curr
-    v_old = v_curr
-    # The received stack at Vhat, and its receivers and gain once formed.
-    hv, u, g = received(h, v_curr), None, None
+    # The received stack at Vhat, and its receivers and gain.
+    hv = received(h, v_curr)
+    u, g = mmse_pass(hv, sigma2)
+    # A-MMMSE's next extrapolated point, formed with the pass at V_t, and the
+    # stacked pass over both: (received stacks, receivers, gains).
+    v_next, ahead = None, None
+    restart = True  # iteration t starts at V_{t-1}, with no extrapolation
     eye_w = np.tile(np.eye(config.d, dtype=np.complex128), (config.K, 1, 1))
     eye_w.flags.writeable = False  # every unweighted-stage iterate shares it
     weighted = options.algorithm is Algorithm.WMMSE  # the stage latch: once set, to the end
@@ -526,11 +528,11 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
     converged = False
 
     for t in range(1, options.max_iters + 1):
-        if omega > 0.0 and v_old is not v_curr:
-            v_hat = _finite(t, "extrapolation", extrapolate(v_curr, v_old, omega))
-            hv, u, g = received(h, v_hat), None, None
-        else:
+        if restart:
             v_hat = v_curr
+        else:
+            v_hat = _finite(t, "extrapolation", v_next)
+            hv, u, g = (x[1] for x in ahead)
         hv_hat = hv
 
         # Switch test: ``rel`` is still the change between iterations t-1 and t-2.
@@ -538,11 +540,6 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             weighted, switch_iteration = True, t
         stage = Stage.WEIGHTED if weighted else Stage.UNWEIGHTED
 
-        if u is None:
-            if weighted and g is None:
-                u, g = mmse_pass(hv, sigma2)
-            else:
-                u = mmse_receivers(hv, sigma2)
         u = _finite(t, "receiver", u)
         w = _finite(t, "weight", gain_weights(g)) if weighted else eye_w
 
@@ -552,14 +549,21 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             v_new = update_precoders_exact(h, u, w, weights, config.p_max)
         v_new = _finite(t, "precoder", v_new)
 
-        hv = received(h, v_new)
-        blocks.append((u, w, v_new, hv_hat, hv))
-        # The pass at V_t gives this row's rate and, to the exact solvers,
-        # the receivers of iteration t+1, whose Vhat is V_t.
-        if first_order:
-            u, g = None, mmse_gain(hv, sigma2)
+        # One MMSE pass at V_t gives this row's rate, and the receivers and
+        # weights of iteration t+1 if it starts there.  A-MMMSE forms the
+        # point it would extrapolate to, Vhat_{t+1}, now and takes the pass
+        # over both in one stack; a non-finite Vhat raises only where it is used.
+        if omega > 0.0:
+            v_next = extrapolate(v_new, v_curr, omega)
+        if omega > 0.0 and np.isfinite(v_next).all():
+            hvs = received(h, np.stack([v_new, v_next]))
+            ahead = (hvs, *mmse_pass(hvs, sigma2))
+            hv, u_next, g = (x[0] for x in ahead)
         else:
-            u, g = mmse_pass(hv, sigma2)
+            hv = received(h, v_new)
+            u_next, g = mmse_pass(hv, sigma2)
+        blocks.append((u, w, v_new, hv_hat, hv))
+        u = u_next
         # The rate of gain_snapshot; the rows' powers come after the loop.
         wsr = float(weights @ gain_rates(g))
         rel = math.inf if t == 1 else _rel_change(wsr, steps[-1][0])
@@ -578,8 +582,8 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
                     f"for 5 consecutive iterations under {step}, omega={omega!r}")
 
         # The restart: after a fall in the WSR the next iteration starts at V_t.
-        fell = t >= 2 and wsr < steps[-2][0]
-        v_old, v_curr = v_new if fell else v_curr, v_new
+        restart = omega == 0.0 or (t >= 2 and wsr < steps[-2][0])
+        v_curr = v_new
         if weighted and rel <= options.eps2:
             converged = True
             break

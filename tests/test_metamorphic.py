@@ -107,9 +107,7 @@ def test_transmit_rotation(shape, seed):
 
 @pytest.mark.parametrize("algorithm", ["wmmse", "mmmse", "ammmse"])
 def test_transmit_rotation_of_the_solve(algorithm, monkeypatch):
-    # WMMSE and MMMSE run every shape in the basis of range(H^H) (KN < M);
-    # A-MMMSE runs M8/K3 and M16/K4 in M dimensions, M64/K4 and M128/K4
-    # (KN + Kd = 16 < M) in the basis of span([H^H, V_0]).
+    # Every solver runs every shape here in the basis of range(H^H) (KN < M).
     options = wb.SolverOptions(algorithm=algorithm)
     draw = solvers.init_precoders
     for M, K in ((8, 3), (16, 4), (64, 4), (128, 4)):
