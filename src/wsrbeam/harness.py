@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ConfigError, WsrbeamError
@@ -35,9 +34,10 @@ from .model import (
 )
 from .objective import (
     compute_bounds,
+    gain_weights,
     gradient_v,
+    mmse_pass,
     received,
-    update_weight_matrices,
     wmmse_objective,
 )
 from .solvers import (
@@ -46,7 +46,6 @@ from .solvers import (
     SolverOptions,
     project_sum_power,
     solve,
-    update_receivers,
 )
 from .verify import OracleReport, check_lemma_bounds, finite_diff_gradient
 
@@ -178,29 +177,32 @@ def emit_trace(result: SolveResult, path: Path | str) -> None:
 def read_trace(path: Path | str) -> tuple[IterationRecord, ...]:
     """Parse a trace CSV back into iteration records (exact round trip).
 
-    The ``f_nats`` column repeats ``f_after_v``; a row where they differ is
-    rejected."""
+    The ``f_nats`` column repeats ``f_after_v``.  A malformed row, or one
+    where the two differ, raises a ConfigError naming the file and the row."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != TRACE_HEADER:
         raise ConfigError(f"{path}: not a trace file (bad header)")
     records = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 9:
-            raise ConfigError(f"{path}: malformed trace row {ln!r}")
-        if float(parts[2]) != float(parts[7]):
+        try:
+            t, wsr, f_nats, power, stage, f_u, f_w, f_v, rel = ln.split(",")
+            f_nats = float(f_nats)
+            record = IterationRecord(
+                t=int(t),
+                wsr_bits=float(wsr),
+                total_power=float(power),
+                stage=Stage(int(stage)),
+                f_after_u=float(f_u),
+                f_after_w=float(f_w),
+                f_after_v=float(f_v),
+                rel_change=float(rel),
+            )
+        except ValueError as exc:  # a wrong column count, number or stage
+            raise ConfigError(f"{path}: malformed trace row {ln!r}") from exc
+        if f_nats != record.f_after_v:
             raise ConfigError(f"{path}: f_nats differs from f_after_v in trace row {ln!r}")
-        records.append(IterationRecord(
-            t=int(parts[0]),
-            wsr_bits=float(parts[1]),
-            total_power=float(parts[3]),
-            stage=Stage(int(parts[4])),
-            f_after_u=float(parts[5]),
-            f_after_w=float(parts[6]),
-            f_after_v=float(parts[7]),
-            rel_change=float(parts[8]),
-        ))
+        records.append(record)
     return tuple(records)
 
 
@@ -312,7 +314,6 @@ class RunSummary:
                 "version": __version__,
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "rng": RNG_ALGORITHM,
             },
         }
@@ -326,8 +327,8 @@ def _gradient_fd_report(config: SystemConfig) -> OracleReport | None:
     channels = generate_channels(config)
     weights = config.weight_vector
     precoders = project_sum_power(init_precoders(config), config.p_max)
-    receivers = update_receivers(channels, precoders, channels.noise_power)
-    wmats = update_weight_matrices(channels, precoders, channels.noise_power)
+    receivers, g = mmse_pass(received(channels, precoders), channels.noise_power)
+    wmats = gain_weights(g)
 
     def objective(v):
         return wmmse_objective(receivers, wmats, received(channels, v), weights,

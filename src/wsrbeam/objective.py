@@ -11,9 +11,9 @@ arguments are (K, ., .) stacks: plain ndarrays or the matrix sets of
 
 Each per-user quantity has one route, stacked over the users; there is no
 one-user form.  The weights, rates and weighted sum rate go through
-:func:`mmse_gain` of a :func:`received` stack and :func:`gain_weights`,
-:func:`gain_rates` or :func:`gain_snapshot`, as in the solver loop.  The
-stacked helpers (:func:`flatten_users`, :func:`received`, :func:`own_streams`,
+:func:`mmse_gain` of a :func:`received` stack and :func:`gain_weights` or
+:func:`gain_rates`, as in the solver loop.  The stacked helpers
+(:func:`flatten_users`, :func:`received`, :func:`own_streams`,
 :func:`interfering`), :func:`mse_matrix`, :func:`mmse_gain`, :func:`mmse_pass`,
 :func:`update_weight_matrices`, :func:`user_rates` and :func:`wmmse_objective`
 also take leading batch axes in front of the user axis, e.g. (T, K, ., .)
@@ -185,8 +185,8 @@ def mmse_pass(hv: np.ndarray, noise_power: float) -> tuple[np.ndarray, np.ndarra
     The covariances C_k and Q_k (of :func:`interfering`) are factored in one
     batched Cholesky and H_k V_k is whitened by both factors in one batched
     solve; the receivers take one more triangular solve.  Each slice goes
-    through the same LAPACK calls as the separate routes, so both outputs
-    equal theirs bit for bit.
+    through the same LAPACK calls as :func:`~.solvers.update_receivers` and
+    :func:`mmse_gain`, so both outputs equal theirs bit for bit.
     """
     _check_noise_power(noise_power)
     own = own_streams(hv)
@@ -212,12 +212,6 @@ def gain_rates(g: np.ndarray) -> np.ndarray:
     return np.sum(np.log1p(np.maximum(np.linalg.eigvalsh(g), 0.0)), axis=-1)
 
 
-def gain_snapshot(g: np.ndarray, precoders, weights) -> ObjectiveSnapshot:
-    """alpha @ :func:`gain_rates`, with the transmit power of ``precoders``."""
-    total = float(np.asarray(weights, dtype=np.float64) @ gain_rates(g))
-    return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(np.asarray(precoders)))
-
-
 def update_weight_matrices(channels, precoders, noise_power: float) -> np.ndarray:
     """Weight update at ``precoders``: :func:`gain_weights`."""
     return gain_weights(mmse_gain(received(channels, precoders), noise_power))
@@ -230,8 +224,9 @@ def user_rates(channels, precoders, noise_power: float) -> np.ndarray:
 
 def weighted_sum_rate(channels: ChannelSet, precoders, weights) -> ObjectiveSnapshot:
     """alpha @ :func:`user_rates`, with the transmit power."""
-    return gain_snapshot(mmse_gain(received(channels, precoders), channels.noise_power),
-                         precoders, weights)
+    g = mmse_gain(received(channels, precoders), channels.noise_power)
+    total = float(np.asarray(weights, dtype=np.float64) @ gain_rates(g))
+    return ObjectiveSnapshot(wsr_nats=total, total_power=total_power(np.asarray(precoders)))
 
 
 def _of_hpd_weights(fn, w: np.ndarray):

@@ -251,14 +251,10 @@ class SolveResult:
 
 
 def update_receivers(channels, precoders, noise_power: float) -> np.ndarray:
-    """MMSE receive filters at ``precoders`` (:func:`mmse_receivers`)."""
-    return mmse_receivers(received(channels, precoders), noise_power)
-
-
-def mmse_receivers(hv: np.ndarray, noise_power: float) -> np.ndarray:
-    """U_k = (sum_j H_k V_j V_j^H H_k^H + sigma^2 I)^{-1} H_k V_k from a
-    :func:`~.objective.received` stack: the K received N x N covariances,
-    never the M x M sum_j V_j V_j^H, in one batched Cholesky solve."""
+    """MMSE receive filters at ``precoders``: U_k = (sum_j H_k V_j V_j^H H_k^H
+    + sigma^2 I)^{-1} H_k V_k from the K received N x N covariances, never the
+    M x M sum_j V_j V_j^H, in one batched Cholesky solve."""
+    hv = received(channels, precoders)
     return solve_hpd(covariance(hv, noise_power), own_streams(hv))
 
 
@@ -564,7 +560,7 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
             u_next, g = mmse_pass(hv, sigma2)
         blocks.append((u, w, v_new, hv_hat, hv))
         u = u_next
-        # The rate of gain_snapshot; the rows' powers come after the loop.
+        # The rate of weighted_sum_rate; the rows' powers come after the loop.
         wsr = float(weights @ gain_rates(g))
         rel = math.inf if t == 1 else _rel_change(wsr, steps[-1][0])
         steps.append((wsr, rel, stage))

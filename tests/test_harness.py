@@ -169,6 +169,19 @@ class TestEmitAndReadTrace:
             wb.read_trace(path)
         assert ",".join(rows[1]) in str(info.value)
 
+    @pytest.mark.parametrize("column, value", [(4, "7"), (4, "x"), (1, "abc"), (0, "1.5")])
+    def test_malformed_field_names_file_and_row(self, tmp_path, column, value):
+        # An unknown stage, a non-numeric stage or rate and a fractional
+        # iteration each raise a ConfigError, not a bare ValueError.
+        path = tmp_path / "trace.csv"
+        wb.emit_trace(self._result(), path)
+        rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+        rows[1][column] = value
+        path.write_text("\n".join([wb.harness.TRACE_HEADER] + [",".join(r) for r in rows]) + "\n")
+        with pytest.raises(ConfigError, match="malformed trace row") as info:
+            wb.read_trace(path)
+        assert str(path) in str(info.value) and ",".join(rows[1]) in str(info.value)
+
 
 def _run_summary(tmp_path, argv=(), **overrides):
     """summary.json after `wsrbeam run`, and the names of its trace files."""
@@ -340,6 +353,7 @@ class TestRunExperiment:
         assert point["convergence_rate"] == 1.0
         assert point["switch_iteration_mean"] is not None
         assert doc["stamps"]["rng"] == wb.RNG_ALGORITHM
+        assert doc["stamps"].keys() == {"package", "version", "python", "numpy", "rng"}
         assert "wall_time_mean_s" not in point  # timing lives in timing.json
         timing = json.loads((tmp_path / "timing.json").read_text())
         assert timing["points"][0]["label"] == point["label"]

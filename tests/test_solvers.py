@@ -431,15 +431,16 @@ def test_rank_deficient_exact_update_matches_high_precision(M, K, snr_db):
 @pytest.mark.parametrize("M, K", [(8, 3), (32, 8)])
 def test_mmse_pass_equals_separate_routes_bit_for_bit(M, K):
     # One Cholesky of the stacked covariances and one stacked solve give the
-    # receivers and the gain byte for byte as mmse_receivers and mmse_gain,
+    # receivers and the gain byte for byte as update_receivers and mmse_gain,
     # for one (K, N, Kd) stack and for a (2, 3, K, N, Kd) batch of them.
     for snr_db in (-20.0, 10.0, 60.0):
         cfg, ch = make_system(seed=5, M=M, N=2, K=K, d=2, snr_db=snr_db)
         rng = np.random.default_rng(int(snr_db) + 100)
         vs = np.stack([random_feasible(rng, cfg) for _ in range(6)])
-        for hv in (received(ch, vs[0]), received(ch, vs.reshape(2, 3, *vs.shape[1:]))):
+        for v in (vs[0], vs.reshape(2, 3, *vs.shape[1:])):
+            hv = received(ch, v)
             u, g = mmse_pass(hv, ch.noise_power)
-            assert u.tobytes() == solvers.mmse_receivers(hv, ch.noise_power).tobytes()
+            assert u.tobytes() == solvers.update_receivers(ch, v, ch.noise_power).tobytes()
             assert g.tobytes() == mmse_gain(hv, ch.noise_power).tobytes()
 
 
