@@ -4,8 +4,9 @@
 WMMSE, MMMSE and A-MMMSE differ only in where the weights start and in the
 precoder step, and ``options.algorithm`` decides both: WMMSE updates the
 weights from the first iteration, the other two start in the unweighted
-stage; A-MMMSE takes one gradient step from an extrapolated point, the other
-two the exact update.  Each iteration of the loop runs:
+stage; A-MMMSE takes up to ``_PGD_STEPS`` = 3 projected gradient steps, the
+first from an extrapolated point, and WMMSE and MMMSE the exact update.
+Each iteration of the loop runs:
 
   1. extrapolate the precoders (A-MMMSE, from the second iteration on, unless
      the last iteration lowered the weighted sum rate: see below),
@@ -13,7 +14,10 @@ two the exact update.  Each iteration of the loop runs:
      the weights there (the identity in the unweighted warm-start stage),
   3. precoder update: the exact minimizer of the precoder subproblem (one
      thin SVD and a Newton solve for the dual variable of the sum-power
-     constraint) or a single projected gradient step,
+     constraint) or up to k = ``_PGD_STEPS`` projected gradient steps, all
+     on one factor of step 2's blocks (:func:`_pgd_steps`): the first
+     from Vhat, each later one from the feasible point before it, and kept
+     only if it lowers the precoder subproblem's objective,
   4. the weighted sum rate of the new feasible iterate, which the stop test,
      the switch test and A-MMMSE's divergence guard read.
 
@@ -47,9 +51,9 @@ one factor (:func:`~.objective.precoder_factor`): Y = [H_1^H U_1 L_1 ...
 H_K^H U_K L_K] (M x Kd) and L^H, L_k L_k^H = alpha_k W_k.  The exact update
 takes the thin SVD of Y, n = min(M, Kd) singular values, and the gradient
 step applies 2 Y (Y^H V - L^H).  Per iteration the precoder update costs
-O(M (Kd) n) for the exact update and O(M (Kd)^2) for the gradient step, and
-the MMSE pass O(K^2 N M d), all users at once, with no per-user loop.  The
-loop takes no QR.
+O(M (Kd) n) for the exact update and O(k M (Kd)^2) for the k gradient
+steps, and the MMSE pass O(K^2 N M d), all users at once, with no per-user
+loop.  The loop takes no QR.
 
 Every iterate of all three algorithms lies in range(H^H),
 H^H = [H_1^H ... H_K^H], of dimension r = KN (the basis of reduced WMMSE:
@@ -82,7 +86,8 @@ test only fires in the weighted stage, so the warm start always hands over
 to at least one weighted iteration.
 
 A-MMMSE's step needs no setting: by default it is the exact line search on
-the precoder subproblem (:func:`pgd_precoder_step`).  Its momentum, omega =
+the precoder subproblem (:func:`pgd_precoder_step`), taken at each step's
+point.  Its momentum, omega =
 0.5 by default, comes with a function restart (O'Donoghue and Candes, Found.
 Comput. Math. 15, 2015): after an iteration whose weighted sum rate fell
 below the previous one the next iteration takes no extrapolation and starts
@@ -116,6 +121,7 @@ from .model import (  # noqa: F401 -- ReceiverSet, WeightMatrixSet: perfbench/tr
 from .objective import (  # noqa: F401 -- perfbench/tracing.py patches update_weight_matrices and weighted_gram here
     LN2,
     BoundsReport,
+    PrecoderFactor,
     compute_bounds,
     covariance,
     flatten_users,
@@ -144,6 +150,14 @@ _NEWTON_MAX = 100
 
 _EPS = float(np.finfo(np.float64).eps)
 
+#: Projected gradient steps A-MMMSE takes per MMSE pass, all from the pass's
+#: one precoder factor (:func:`_pgd_steps`).
+_PGD_STEPS = 3
+
+#: A step after the first is kept only if it lowers the precoder
+#: subproblem's objective q by more than this fraction of q.
+_DESCENT_FLOOR = 1e-12
+
 
 class Algorithm(Enum):
     WMMSE = "wmmse"
@@ -166,9 +180,10 @@ class SolverOptions:
     ``gamma`` may be a positive number, the string ``"safe"`` (use the
     provably-descending step from the bounds report), or None (the exact
     line-search step, computed from each iterate: see
-    :func:`pgd_precoder_step`).  ``omega`` is a number in [0, 1).  Both are
-    only consulted by A-MMMSE.  Real fields reject booleans and non-numbers
-    with a ConfigError naming the field.
+    :func:`pgd_precoder_step`); it applies to every one of the projected
+    gradient steps an A-MMMSE iteration takes.  ``omega`` is a number in
+    [0, 1).  Both are only consulted by A-MMMSE.  Real fields reject
+    booleans and non-numbers with a ConfigError naming the field.
     """
 
     algorithm: Algorithm = Algorithm.WMMSE
@@ -411,18 +426,57 @@ def pgd_precoder_step(extrapolated, receivers, weight_matrices, channels, weight
     It has no setting and does not change under H -> c H, sigma^2 -> c^2
     sigma^2.  The gradient 2 Y (Y^H V - L^H) and the step read one factor
     (:class:`~.objective.PrecoderFactor`): a batched d x d Cholesky of the
-    alpha_k W_k, then matrix multiplications only.
+    alpha_k W_k, then matrix multiplications only.  The loop of
+    :func:`solve` takes A-MMMSE's steps through :func:`_pgd_steps` from one
+    such factor per MMSE pass.
     """
-    vhat = np.asarray(extrapolated)
     factor = precoder_factor(channels, receivers, weight_matrices, weights)
-    grad = factor.gradient(vhat)
-    if gamma is None:
-        yg = factor.y.conj().T @ flatten_users(grad)
-        curvature = float(np.vdot(yg, yg).real)
-        gamma = total_power(grad) / (2.0 * curvature) if curvature > 0.0 else 0.0
-    elif not (gamma >= 0):
+    return _pgd_steps(factor, extrapolated, gamma, p_max)
+
+
+def _pgd_steps(factor: PrecoderFactor, start, gamma: float | None, p_max: float,
+               steps: int = 1) -> np.ndarray:
+    """Up to ``steps`` projected gradient steps of :func:`pgd_precoder_step`
+    on the precoder subproblem of ``factor``: the first from ``start``, each
+    later one from the feasible point before it, with ``gamma`` (None: the
+    line search at that point) for every step.
+
+    The subproblem's objective is q(V) = ||Y^H V - L^H||_F^2 up to a
+    constant, and its gradient 2 Y R reads R = Y^H V - L^H, which the steps
+    carry: a step to V + Delta changes q by ||Y^H Delta||^2
+    + 2 Re <R, Y^H Delta>, taken from Y^H Delta with no cancellation, and R
+    becomes R + Y^H Delta.  The first step is always taken; a later one is
+    kept only if it lowers q by more than ``_DESCENT_FLOOR`` ||R||^2,
+    otherwise the steps stop at the point before it.  So no step after the
+    first raises the block's objective, which keeps block coordinate
+    descent's convergence theory for an inexact block update (Razaviyayn,
+    Hong and Luo, SIAM J. Optim. 23(2), 2013).  The floor keeps a step that
+    moves q only by rounding from deciding the result.
+    """
+    if gamma is not None and not (gamma >= 0):
         raise ConfigError("gamma must be nonnegative")
-    return project_sum_power(vhat - gamma * grad, p_max)
+    v = np.asarray(start)
+    K, _, d = v.shape
+    y, lh = factor
+    yh = y.conj().T
+    resid = yh @ flatten_users(v) - lh
+    for j in range(steps):
+        grad = split_users(2.0 * (y @ resid), K, d)
+        step = gamma
+        if gamma is None:
+            yg = yh @ flatten_users(grad)
+            curvature = float(np.vdot(yg, yg).real)
+            step = total_power(grad) / (2.0 * curvature) if curvature > 0.0 else 0.0
+        stepped = project_sum_power(v - step * grad, p_max)
+        if steps == 1:
+            return stepped
+        change = yh @ flatten_users(stepped - v)
+        if j > 0:
+            dq = np.vdot(change, change).real + 2.0 * np.vdot(resid, change).real
+            if not dq < -_DESCENT_FLOOR * np.vdot(resid, resid).real:
+                break
+        v, resid = stepped, resid + change
+    return v
 
 
 def extrapolate(current, previous, omega: float) -> np.ndarray:
@@ -540,7 +594,8 @@ def solve(channels: ChannelSet, config: SystemConfig, options: SolverOptions) ->
         w = _finite(t, "weight", gain_weights(g)) if weighted else eye_w
 
         if first_order:
-            v_new = pgd_precoder_step(v_hat, u, w, h, weights, gamma, config.p_max)
+            v_new = _pgd_steps(precoder_factor(h, u, w, weights), v_hat, gamma,
+                               config.p_max, _PGD_STEPS)
         else:
             v_new = update_precoders_exact(h, u, w, weights, config.p_max)
         v_new = _finite(t, "precoder", v_new)

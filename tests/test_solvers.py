@@ -497,6 +497,61 @@ class TestPgdStep:
             assert f1 <= f0 + 1e-9
 
 
+def subproblem_q(factor, precoders):
+    """q(V) = ||Y^H V - L^H||_F^2, the precoder subproblem's objective up to
+    a constant, recomputed from scratch."""
+    y, lh = factor
+    return float(np.linalg.norm(y.conj().T @ flatten_users(np.asarray(precoders)) - lh) ** 2)
+
+
+class TestPgdSteps:
+    """The loop's helper: up to k projected gradient steps from one factor."""
+
+    def random_factor(self, rng, cfg, ch):
+        u = rng.standard_normal((cfg.K, cfg.N, cfg.d)) + 1j * rng.standard_normal((cfg.K, cfg.N, cfg.d))
+        a = rng.standard_normal((cfg.K, cfg.d, cfg.d)) + 1j * rng.standard_normal((cfg.K, cfg.d, cfg.d))
+        w = a @ np.conj(np.swapaxes(a, 1, 2)) + np.eye(cfg.d)
+        return u, w, objective.precoder_factor(ch, u, w, cfg.weight_vector)
+
+    def test_one_step_is_pgd_precoder_step(self, small_system):
+        # k = 1 is pgd_precoder_step byte for byte.  Two steps are two of its
+        # steps under one factor, the second from the first's point, when the
+        # second lowers q, and the first step alone otherwise.
+        cfg, ch = small_system
+        rng = np.random.default_rng(50)
+        for scale in (0.5, 3.0):  # from inside and from outside the power ball
+            v = scale * random_feasible(rng, cfg)
+            u, w, factor = self.random_factor(rng, cfg, ch)
+            for gamma in (None, 0.01):
+                one = wb.pgd_precoder_step(v, u, w, ch, cfg.weight_vector, gamma, cfg.p_max)
+                assert solvers._pgd_steps(factor, v, gamma, cfg.p_max, 1).tobytes() == one.tobytes()
+                twice = wb.pgd_precoder_step(one, u, w, ch, cfg.weight_vector, gamma, cfg.p_max)
+                two = solvers._pgd_steps(factor, v, gamma, cfg.p_max, 2)
+                if subproblem_q(factor, twice) < subproblem_q(factor, one):
+                    np.testing.assert_allclose(two, twice, rtol=0, atol=1e-12 * np.abs(twice).max())
+                else:
+                    assert two.tobytes() == one.tobytes()
+
+    def test_later_steps_never_raise_the_block_objective(self):
+        # From feasible and infeasible points, under the line search, the
+        # safe step and steps far too long for the block, no step after the
+        # first raises q; the line search lowers it.
+        rng = np.random.default_rng(51)
+        for seed in range(4):
+            cfg, ch = make_system(seed=seed, M=8, N=2, K=3, d=2)
+            bounds = wb.compute_bounds(ch, cfg.weight_vector, cfg.p_max, ch.noise_power)
+            for scale in (0.5, 3.0):
+                v = scale * random_feasible(rng, cfg)
+                _, _, factor = self.random_factor(rng, cfg, ch)
+                for gamma in (None, bounds.gamma_safe, 1e3 * bounds.gamma_safe):
+                    q = [subproblem_q(factor, solvers._pgd_steps(factor, v, gamma, cfg.p_max, k))
+                         for k in range(1, 7)]
+                    for k in range(1, 6):
+                        assert q[k] <= q[k - 1] * (1.0 + 1e-12), (seed, scale, gamma, k, q)
+                    if gamma is None:
+                        assert q[1] < q[0], (seed, scale, q)
+
+
 class TestExtrapolate:
     def test_omega_zero(self, small_system):
         cfg, _ = small_system
@@ -634,15 +689,16 @@ class TestRunAmmmse:
             wb.solve(ch, cfg, opts)
 
     def test_divergence_names_the_line_search_step(self, monkeypatch):
-        # A precoder update that collapses after its first step trips the same
+        # A precoder update that collapses after its first call trips the same
         # guard under the default gamma=None; the message names that step.
-        step, calls = solvers.pgd_precoder_step, []
+        # The loop takes its steps through the helper, from one factor per pass.
+        step, calls = solvers._pgd_steps, []
 
         def collapsing(*args):
             calls.append(step(*args))
             return calls[-1] if len(calls) == 1 else 1e-3 * calls[-1]
 
-        monkeypatch.setattr(solvers, "pgd_precoder_step", collapsing)
+        monkeypatch.setattr(solvers, "_pgd_steps", collapsing)
         cfg, ch = make_system(seed=0)
         with pytest.raises(UnstableParametersError,
                            match=r"iteration 6: .* under the line-search step, omega=0.5"):
@@ -669,6 +725,29 @@ class TestRunAmmmse:
         ch = wb.generate_channels(cfg)
         opts = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE, eps2=1e-4, max_iters=99)
         assert wb.solve(ch, cfg, opts).converged
+
+    def test_no_shortfall_at_high_snr_below_full_load(self):
+        # M12/K4 at 40 dB (Kd = KN = 8 < M): with one gradient step per MMSE
+        # pass the stop test fired during a crawl, at 0.71-0.96 of WMMSE's WSR
+        # on 6 of these 8 seeds.  Several steps per pass reach it.
+        for seed in range(8):
+            cfg = wb.SystemConfig(M=12, N=2, K=4, d=2, snr_db=40.0,
+                                  channel_seed=seed, init_seed=seed)
+            ch = wb.generate_channels(cfg)
+            w = wb.solve(ch, cfg, wb.SolverOptions())
+            a = wb.solve(ch, cfg, wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE))
+            assert a.trace[-1].wsr_bits >= 0.98 * w.trace[-1].wsr_bits, seed
+
+    @pytest.mark.parametrize("seed", [29, 144, 171, 253])
+    def test_no_two_cycle_at_low_snr(self, seed):
+        # M32/K8 at 0 dB: with one gradient step per MMSE pass these seeds
+        # alternated between two WSR values, the restart firing every other
+        # iteration, up to the iteration cap.
+        cfg = wb.SystemConfig(M=32, N=2, K=8, d=2, snr_db=0.0, channel_seed=seed, init_seed=seed)
+        ch = wb.generate_channels(cfg)
+        options = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE)
+        res = wb.solve(ch, cfg, options)
+        assert res.converged and res.iterations < options.max_iters
 
     def test_iterate_norm_bounds_hold_along_trace(self):
         for seed in range(3):
@@ -867,7 +946,7 @@ def test_loop_and_public_functions_share_one_route(algorithm, M, K, monkeypatch)
     cfg, ch = make_system(seed=2, M=M, N=2, K=K, d=2)
     options = wb.SolverOptions(algorithm=algorithm)
     updates = []  # the loop's precoder updates X_t, in its own coordinates
-    name = "pgd_precoder_step" if algorithm == "ammmse" else "update_precoders_exact"
+    name = "_pgd_steps" if algorithm == "ammmse" else "update_precoders_exact"
     update = getattr(solvers, name)
 
     def recording(*args):
@@ -915,7 +994,7 @@ def test_one_received_stack_per_iterate(monkeypatch):
     # follow the loop: the last row's rate and the stationarity residual's
     # receivers; the checkpoint pass reads the loop's stacks.  Every solve
     # here runs in the KN of its subspace basis.  Of these A-MMMSE solves,
-    # M32/K8 at seed 2 restarts once.
+    # M32/K8 at seed 1 restarts once.
     calls = []
     original = objective.received
 
@@ -1051,16 +1130,16 @@ def test_non_finite_extrapolation_raises_where_it_is_used(monkeypatch):
     # A-MMMSE forms Vhat_{t+1} with the pass at V_t.  A non-finite one raises
     # in iteration t+1, which would start there, and names it; after a fall
     # in the WSR iteration t+1 restarts at V_t instead, and the solve is the
-    # same.  M32/K8 at seed 2 falls once, at row 8.  Either way the point
+    # same.  M32/K8 at seed 1 falls once, at row 6.  Either way the point
     # never enters an MMSE pass: whether a Cholesky of NaNs raises depends on
     # the LAPACK build, and it would fail the whole stacked pass.
-    cfg = wb.SystemConfig(M=32, N=2, K=8, d=2, snr_db=10.0, channel_seed=2, init_seed=2)
+    cfg = wb.SystemConfig(M=32, N=2, K=8, d=2, snr_db=10.0, channel_seed=1, init_seed=1)
     ch = wb.generate_channels(cfg)
     options = wb.SolverOptions(algorithm=wb.Algorithm.AMMMSE)
     base = wb.solve(ch, cfg, options)
     wsr = [rec.wsr_bits for rec in base.trace[:-1]]
     falls = [t for t in range(2, len(wsr) + 1) if wsr[t - 1] < wsr[t - 2]]
-    assert falls == [8]
+    assert falls == [6]
     extrapolate, mmse_pass_ = solvers.extrapolate, solvers.mmse_pass
 
     def finite_pass(hv, noise_power):
@@ -1068,7 +1147,7 @@ def test_non_finite_extrapolation_raises_where_it_is_used(monkeypatch):
         return mmse_pass_(hv, noise_power)
 
     monkeypatch.setattr(solvers, "mmse_pass", finite_pass)
-    for bad_row in (1, 8):
+    for bad_row in (1, 6):
         calls = []
 
         def poisoned(cur, prev, omega):
